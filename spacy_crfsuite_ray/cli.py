@@ -15,6 +15,7 @@ ray.init().
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -31,6 +32,27 @@ def _load_config(path):
         return json.load(f)
 
 
+@contextlib.contextmanager
+def _ray_session():
+    """Ray for one command, Ray Data progress bars off. Joins a running
+    session and leaves it running; otherwise starts one and shuts down only
+    that one. No explicit address: RAY_ADDRESS decides (the cluster address
+    under `ray job submit`), so the same CLI is both the local entrypoint
+    and the job entrypoint."""
+    import ray
+    from ray.data import DataContext
+
+    owned = not ray.is_initialized()
+    if owned:
+        ray.init(include_dashboard=False, logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+    try:
+        yield
+    finally:
+        if owned:
+            ray.shutdown()
+
+
 def cmd_train(args) -> int:
     from .core.extractor import CRFExtractor, gold_example_to_crf_tokens
     from .core.tokenizer import RegexTokenizer
@@ -45,16 +67,10 @@ def cmd_train(args) -> int:
                for e in examples]
     config = _load_config(args.config) or {}
     if args.fine_tune:
-        import ray
-
-        if not ray.is_initialized():
-            # no explicit address: RAY_ADDRESS decides (preset "local" in this
-            # sandbox; the cluster address under `ray job submit`), so the
-            # same CLI is both the local entrypoint and the job entrypoint
-            ray.init(include_dashboard=False, logging_level="ERROR")
         from .pipelines.train import fine_tune
 
-        best, score, _ = fine_tune(samples, base_config=config)
+        with _ray_session():
+            best, score, _ = fine_tune(samples, base_config=config)
         print(f"fine-tune best params {best} (weighted F1 {score:.3f})")
         config.update(best)
     ext = CRFExtractor(config)
@@ -99,23 +115,15 @@ def cmd_tag(args) -> int:
 
 
 def cmd_kg(args) -> int:
-    import ray
-
-    if not ray.is_initialized():
-        # RAY_ADDRESS decides (see cmd_train) — job-submit compatible
-        ray.init(include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
     from .pipelines.kg import run_kg_pipeline
     from .sources.pages import page_files
 
     files = page_files(args.pages_dir) if os.path.isdir(args.pages_dir) \
         else [args.pages_dir]
-    res = run_kg_pipeline(files, args.out_dir, shards=args.shards,
-                          files_per_shard=args.files_per_shard)
+    with _ray_session():
+        res = run_kg_pipeline(files, args.out_dir, shards=args.shards,
+                              files_per_shard=args.files_per_shard)
     print(json.dumps({k: v for k, v in res.items() if not k.endswith("_dir")}))
-    ray.shutdown()
     return 0
 
 
@@ -124,22 +132,12 @@ def cmd_scrub(args) -> int:
     shard-partitioned parquet with per-shard lineage manifests — a re-run
     over the same input skips every manifested shard (the same resume
     machinery as `cli kg`)."""
-    import ray
-
-    owned = not ray.is_initialized()
-    if owned:
-        # RAY_ADDRESS decides (see cmd_train) — job-submit compatible
-        ray.init(include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
     from .pipelines.scrub import run_scrub_pipeline
 
-    res = run_scrub_pipeline(args.input, args.out_dir, shards=args.shards,
-                             files_per_shard=args.files_per_shard)
+    with _ray_session():
+        res = run_scrub_pipeline(args.input, args.out_dir, shards=args.shards,
+                                 files_per_shard=args.files_per_shard)
     print(json.dumps({k: v for k, v in res.items() if k != "out_dir"}))
-    if owned:
-        ray.shutdown()
     return 0
 
 
@@ -149,24 +147,15 @@ def cmd_export(args) -> int:
     per-shard lineage manifests. The global selection digest is folded
     into the manifest layout key, so changing ANY input file or knob
     re-runs every shard; a plain restart skips finished shards."""
-    import ray
-
-    owned = not ray.is_initialized()
-    if owned:
-        ray.init(include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
     from .pipelines.export import run_export_pipeline
 
-    res = run_export_pipeline(
-        args.input, args.out_dir, budget_tokens=args.budget,
-        chunk_words=args.chunk_words, shards=args.shards,
-        files_per_shard=args.files_per_shard,
-    )
+    with _ray_session():
+        res = run_export_pipeline(
+            args.input, args.out_dir, budget_tokens=args.budget,
+            chunk_words=args.chunk_words, shards=args.shards,
+            files_per_shard=args.files_per_shard,
+        )
     print(json.dumps({k: v for k, v in res.items() if k != "out_dir"}))
-    if owned:
-        ray.shutdown()
     return 0
 
 

@@ -1,7 +1,8 @@
 """Resumable training-data EXPORT pipeline — the composed product step the
 individual ops feed: token-budget quality selection → scrub (line-dedupe +
 PII redaction) → fixed-size k-word chunk explode → shard-partitioned
-parquet with per-shard lineage manifests (the KG/scrub machinery).
+parquet with per-shard lineage manifests (``pipelines.shards.run_sharded``,
+shared with the KG and scrub pipelines).
 
 Reference scope: talmago/spacy_crfsuite ships no corpus tooling (it trains
 from curated CoNLL/markdown gold, `spacy_crfsuite/train.py:1-40`); this is
@@ -26,14 +27,10 @@ restart skips every finished shard.
 from __future__ import annotations
 
 import hashlib
-import os
-import shutil
-import time
 from typing import Dict, List, Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
@@ -41,9 +38,9 @@ import ray.data as rd
 from ..ops.clean import scrub_batch
 from ..ops.dedup import CHUNK_WORDS, _chunk_text_rows
 from ..ops.text import TOKEN_BUDGET_DEFAULT, token_budget_select
-from ..stages.graph import input_ref_entries, manifest_valid, write_manifest
-from .kg import _shard_groups, _stable_shard_groups, _walk_parquet
-from .scrub import _attach_shard, scrub_input_files
+from ..stages.graph import input_ref_entries
+from .scrub import scrub_input_files
+from .shards import output_stats, run_sharded
 
 EXPORT_LAYOUT_VERSION = "export-shard-v1"
 
@@ -121,90 +118,37 @@ def run_export_pipeline(
     files = scrub_input_files(input_path)
     if not files:
         raise ValueError(f"run_export_pipeline: no parquet under {input_path}")
-    os.makedirs(out_dir, exist_ok=True)
     layout = f"{EXPORT_LAYOUT_VERSION}|{_global_digest(files, budget_tokens, chunk_words)}"
-    stats: Dict = {"shards_run": 0, "shards_skipped": 0,
-                   "budget_tokens": budget_tokens,
-                   "chunk_words": chunk_words}
-    if files_per_shard is not None:
-        pid_groups = _stable_shard_groups(files, files_per_shard)
-    else:
-        pid_groups = [
-            (f"{shard_id:05d}", group)
-            for shard_id, group in enumerate(_shard_groups(files, shards))
-        ]
-    live = {pid for pid, _ in pid_groups}
-    for name in os.listdir(out_dir):
-        suffix = name.split("=", 1)[1] if name.startswith("shard=") else ""
-        if suffix and suffix not in live:
-            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
-            stale = os.path.join(out_dir, "_manifest", f"{suffix}.json")
-            if os.path.exists(stale):
-                os.remove(stale)
-    refs = {pid: input_ref_entries(group) for pid, group in pid_groups}
-    to_run = [
-        (pid, group) for pid, group in pid_groups
-        if not manifest_valid(out_dir, pid, input_refs=refs[pid],
-                              layout=layout)
-    ]
-    stats["shards_skipped"] = len(pid_groups) - len(to_run)
+    selection: Dict = {}
 
-    if to_run:
-        t0 = time.time()
-        # global selection rule — once, over ALL inputs (the rule depends
-        # on every file, which is why the digest sits in the layout key)
-        selected = token_budget_select(
-            "", budget_tokens,
-            _reader=lambda cols: rd.read_parquet(files, columns=cols),
-        )
-        kept_ids = set()
-        for b in selected.iter_batches(batch_format="pyarrow",
-                                       batch_size=None):
-            kept_ids.update(
-                int(i) for i in
-                (b if isinstance(b, pa.Table)
-                 else pa.Table.from_batches([b])).column("doc_id")
-                .to_pylist()
+    def branch(group: List[str]) -> "rd.Dataset":
+        if not selection:
+            # global selection rule — once, over ALL inputs, and only when a
+            # shard must run (the rule depends on every file, which is why
+            # the digest sits in the layout key)
+            selected = token_budget_select(
+                "", budget_tokens,
+                _reader=lambda cols: rd.read_parquet(files, columns=cols),
             )
-        stats["selected_docs"] = len(kept_ids)
-        kept_ref = ray.put(kept_ids)
-
-        branches = []
-        for pid, group in to_run:
-            shutil.rmtree(os.path.join(out_dir, f"shard={pid}"),
-                          ignore_errors=True)
-            ds = _export_branch(group, kept_ref, chunk_words)
-            branches.append(
-                ds.map_batches(_attach_shard(pid), batch_format="pyarrow")
-            )
-        all_ds = branches[0] if len(branches) == 1 else branches[0].union(
-            *branches[1:]
-        )
-        all_ds.write_parquet(out_dir, partition_cols=["shard"])
-        wall = time.time() - t0
-        for pid, _group in to_run:
-            shard_dir = os.path.join(out_dir, f"shard={pid}")
-            rows = (
-                sum(pq.read_metadata(f).num_rows
-                    for f in _walk_parquet(shard_dir))
-                if os.path.isdir(shard_dir) else 0
-            )
-            if not os.path.isdir(shard_dir):
-                # every doc of this shard was unselected: write an empty
-                # shard dir so the manifest's output check has a target
-                os.makedirs(shard_dir, exist_ok=True)
-                pq.write_table(
-                    CHUNK_SCHEMA.empty_table(),
-                    os.path.join(shard_dir, "empty-0.parquet"),
+            kept_ids = set()
+            for b in selected.iter_batches(batch_format="pyarrow",
+                                           batch_size=None):
+                kept_ids.update(
+                    int(i) for i in
+                    (b if isinstance(b, pa.Table)
+                     else pa.Table.from_batches([b])).column("doc_id")
+                    .to_pylist()
                 )
-            write_manifest(out_dir, pid, input_refs=refs[pid],
-                           rows_out=rows, wall_s=wall,
-                           extra={"layout": layout,
-                                  "batched_with": len(to_run)})
-            stats["shards_run"] += 1
+            selection["selected_docs"] = len(kept_ids)
+            selection["ref"] = ray.put(kept_ids)
+        return _export_branch(group, selection["ref"], chunk_words)
 
-    out_files = _walk_parquet(out_dir)
-    stats["rows"] = sum(pq.read_metadata(f).num_rows for f in out_files)
-    stats["files"] = len(out_files)
-    stats["out_dir"] = out_dir
-    return stats
+    # a shard whose docs are all unselected still gets a schema-stable
+    # empty file, so the shard dir and its manifest have an output target
+    stats = run_sharded(files, out_dir, layout, branch, shards=shards,
+                        files_per_shard=files_per_shard,
+                        empty_schema=CHUNK_SCHEMA)
+    stats.update(budget_tokens=budget_tokens, chunk_words=chunk_words)
+    if selection:
+        stats["selected_docs"] = selection["selected_docs"]
+    return {**stats, **output_stats(out_dir)}

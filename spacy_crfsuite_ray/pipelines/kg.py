@@ -4,11 +4,12 @@ Two phases, checkpointed between them:
 
 Phase 1 (per input shard, resumable): pages parquet → extract_text →
   lang filter → sentence explode → CRF tag (fast batched path, per-worker
-  model singleton; actor pool available for heavy models) → derive
-  union-output rows for triples ("t") and batch-combined surface counts
-  ("s") alongside the tagged sentences ("e") — ONE write per shard; consumers
-  read back with parquet filter pushdown on ``kind``. Tagging dominates cost,
-  so this output is the checkpoint: on resume, manifested shards are skipped.
+  model singleton) → derive union-output rows for triples ("t") and
+  batch-combined surface counts ("s") alongside the tagged sentences ("e"),
+  written by the shared sharded-manifest runner (``pipelines/shards.py``)
+  with one manifest per shard; consumers read back per ``kind`` partition.
+  Tagging dominates cost, so this output is the checkpoint: on resume,
+  manifested shards are skipped.
 
 Phase 2 (global, cheap by construction): every input is ALREADY reduced —
   surface counts are unique (type, norm) rows, raw triples are ~2 orders of
@@ -26,6 +27,8 @@ triples themselves.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import shutil
 import time
@@ -41,8 +44,8 @@ from ..stages.extract import explode_sentences, extract_text_batch, filter_lang
 from ..stages.graph import (
     edge_key_batch,
     edge_observation_combiner,
-    input_ref_entries,
     manifest_valid,
+    read_manifests,
     write_manifest,
 )
 from ..stages.link import (
@@ -52,55 +55,23 @@ from ..stages.link import (
     resolve_block_group,
 )
 from ..stages.relations import derive_union_batch
-from ..stages.tag import CRFTagStage, tag_batch
+from ..stages.tag import tag_batch
 from ..state.model import ensure_default_model
 from ..functions.hashing import node_id as _node_id
 from ..functions.tables import stable_rename
+from .shards import run_sharded
+# the sharding helpers stay importable from here for the benchmark and tests
+from .shards import _shard_groups, _stable_shard_groups, _walk_parquet  # noqa: F401
 
 TAG_BATCH_SIZE = 128  # input pages per UDF call (stage is fused with extract)
-TAG_CONCURRENCY = None  # default: fixed pool sized to cluster CPUs - 2
 # Read/task granularity. Each phase-1 task writes one file per kind, and every
 # downstream read pays driver-side planning PER FILE — so blocks are sized for
 # ~10 tasks/cpu load balance, not maximal fan-out.
 PAGES_PER_BLOCK = 2000
 
-_PHASE1_DIRS = ("tagged",)
 # On-disk layout tag recorded in every phase-1 manifest; bumping it invalidates
 # manifests written by older layouts so resume can never silently mix them.
 LAYOUT_VERSION = "kind-partitioned-v2"
-
-
-def _shard_groups(files: List[str], shards: int) -> List[List[str]]:
-    shards = max(1, min(shards, len(files)))
-    return [files[i::shards] for i in range(shards)]
-
-
-def _stable_shard_groups(
-    files: List[str], files_per_shard: int
-) -> List[tuple]:
-    """Incremental-ingest sharding: files sorted by name, chunked at a FIXED
-    size, each shard keyed by a NAME hash of its file basenames. Appending
-    input files that sort after the existing ones (numbered/date-partitioned
-    crawls) leaves every full chunk's pid unchanged, so only the new/changed
-    chunks re-run — the append-only ingest pattern at 100 TB. An in-place
-    rewrite of an existing file keeps the pid but still re-runs its shard:
-    manifests validate against size+mtime input refs (graph.py
-    input_ref_entries)."""
-    import hashlib
-
-    files = sorted(files)
-    out = []
-    for i in range(0, len(files), files_per_shard):
-        group = files[i:i + files_per_shard]
-        pid = hashlib.sha1(
-            "|".join(os.path.basename(f) for f in group).encode("utf-8")
-        ).hexdigest()[:12]
-        out.append((pid, group))
-    return out
-
-
-def _cpus() -> int:
-    return int(ray.cluster_resources().get("CPU", 8))
 
 
 def run_phase1(
@@ -108,12 +79,12 @@ def run_phase1(
     out_dir: str,
     shards: int = 1,
     model_path: Optional[str] = None,
-    tag_concurrency=TAG_CONCURRENCY,
     lang: str = "en",
     files_per_shard: Optional[int] = None,
 ) -> Dict:
     """pages → one kind-tagged union output per shard (tagged sentences +
-    raw triples + surface-count combiner rows), ONE execution per shard.
+    raw triples + surface-count combiner rows), all shards that must run in
+    ONE streaming execution (``pipelines.shards.run_sharded``).
 
     ``files_per_shard`` switches to INCREMENTAL sharding: shards are fixed-
     size chunks of the name-sorted input keyed by a content hash, so
@@ -123,127 +94,50 @@ def run_phase1(
         raise ValueError("run_phase1: no input page files")
     model_path = model_path or ensure_default_model()
     tagged_dir = os.path.join(out_dir, "tagged")
-    os.makedirs(tagged_dir, exist_ok=True)
-    stats = {"shards_run": 0, "shards_skipped": 0}
-    if files_per_shard is not None:
-        pid_groups = _stable_shard_groups(page_files, files_per_shard)
-    else:
-        pid_groups = [
-            (f"{shard_id:05d}", group)
-            for shard_id, group in enumerate(_shard_groups(page_files, shards))
-        ]
-    # prune every shard dir not in the CURRENT pid set — stale shards from a
-    # previous run with more shards, a changed incremental chunk, or a
-    # sharding-mode switch would otherwise leak into phase 2's reads
-    # (tagged/ is pipeline-owned output; foreign dirs don't belong here)
-    live = {pid for pid, _ in pid_groups}
-    for name in os.listdir(tagged_dir):
-        suffix = name.split("=", 1)[1] if name.startswith("shard=") else ""
-        if suffix and suffix not in live:
-            shutil.rmtree(os.path.join(tagged_dir, name), ignore_errors=True)
-            stale = os.path.join(tagged_dir, "_manifest", f"{suffix}.json")
-            if os.path.exists(stale):
-                os.remove(stale)
-    refs = {pid: input_ref_entries(group) for pid, group in pid_groups}
-    to_run = []
-    for pid, group in pid_groups:
-        if manifest_valid(tagged_dir, pid, input_refs=refs[pid],
-                          layout=LAYOUT_VERSION):
-            # skip only when the manifest covers EXACTLY this input group
-            # (paths + sizes + mtimes) — resuming with a different `shards`
-            # value, or after an in-place input rewrite, must re-run, never
-            # mix old and new shard contents
-            stats["shards_skipped"] += 1
-        else:
-            to_run.append((pid, group))
 
-    if to_run:
-        t0 = time.time()
-        # ONE streaming execution for ALL non-manifested shards: each shard is
-        # a branch of the same pipeline tagged with a constant `shard` column,
-        # unioned, and written once with hive partitioning on (shard, kind).
-        # This removes the per-shard read-planning + stream ramp-up/tail cost
-        # that a serial shard loop pays (the Amdahl tail in the scaling
-        # measurement) while keeping per-shard manifests for resume.
-        branches = []
-        for pid, group in to_run:
-            shard_dir = os.path.join(tagged_dir, f"shard={pid}")
-            shutil.rmtree(shard_dir, ignore_errors=True)  # stale partial output
-            total_rows = sum(pq.read_metadata(f).num_rows for f in group)
-            n_blocks = max(len(group), total_rows // PAGES_PER_BLOCK)
-            ds = rd.read_parquet(
-                group, columns=["url", "html", "lang"],
-                override_num_blocks=n_blocks,
-            )
-            ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
-            ds = ds.map_batches(
-                lambda b: filter_lang(b, lang), batch_format="pyarrow"
-            )
-            ds = ds.map_batches(explode_sentences, batch_format="pyarrow")
-            if tag_concurrency is None:
-                # default: task-based tagging with a per-worker model
-                # singleton (stages/tag.py tag_batch) — warm task workers, no
-                # actor spawn. Pass an int/tuple to pin an actor pool instead
-                # (heavy models).
-                ds = ds.map_batches(
-                    tag_batch,
-                    batch_format="pyarrow",
-                    batch_size=TAG_BATCH_SIZE,
-                    fn_kwargs={"model_path": model_path},
-                )
-            else:
-                ds = ds.map_batches(
-                    CRFTagStage,
-                    batch_format="pyarrow",
-                    batch_size=TAG_BATCH_SIZE,
-                    fn_constructor_kwargs={"model_path": model_path},
-                    num_cpus=1,
-                    concurrency=tag_concurrency,
-                )
-            ds = ds.map_batches(derive_union_batch, batch_format="pyarrow")
-            ds = ds.map_batches(_make_attach_shard(pid), batch_format="pyarrow")
-            branches.append(ds)
-        all_ds = branches[0] if len(branches) == 1 else branches[0].union(
-            *branches[1:]
+    def branch(group: List[str]) -> "rd.Dataset":
+        total_rows = sum(pq.read_metadata(f).num_rows for f in group)
+        ds = rd.read_parquet(
+            group, columns=["url", "html", "lang"],
+            override_num_blocks=max(len(group), total_rows // PAGES_PER_BLOCK),
         )
-        # hive-partition by (shard, kind): consumers prune whole files
-        # (entities vs triples vs surface counts) per shard instead of
-        # row-filtering mixed files; manifested shard dirs are untouched
-        all_ds.write_parquet(tagged_dir, partition_cols=["shard", "kind"])
-        wall = time.time() - t0
-        for pid, group in to_run:
-            shard_dir = os.path.join(tagged_dir, f"shard={pid}")
-            rows = sum(
-                pq.read_metadata(f).num_rows for f in _walk_parquet(shard_dir)
-            )
-            write_manifest(tagged_dir, pid, input_refs=refs[pid],
-                           rows_out=rows, wall_s=wall,
-                           extra={"layout": LAYOUT_VERSION,
-                                  "batched_with": len(to_run)})
-            stats["shards_run"] += 1
+        ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
+        ds = ds.map_batches(
+            lambda b: filter_lang(b, lang), batch_format="pyarrow"
+        )
+        ds = ds.map_batches(explode_sentences, batch_format="pyarrow")
+        # task-based tagging with a per-worker model singleton
+        # (stages/tag.py tag_batch) — warm task workers, no actor spawn
+        ds = ds.map_batches(
+            tag_batch,
+            batch_format="pyarrow",
+            batch_size=TAG_BATCH_SIZE,
+            fn_kwargs={"model_path": model_path},
+        )
+        return ds.map_batches(derive_union_batch, batch_format="pyarrow")
+
+    # hive-partition by (shard, kind): consumers prune whole files
+    # (entities vs triples vs surface counts) per shard instead of
+    # row-filtering mixed files
+    stats = run_sharded(page_files, tagged_dir, LAYOUT_VERSION, branch,
+                        partition_cols=("shard", "kind"), shards=shards,
+                        files_per_shard=files_per_shard)
     stats["tagged_dir"] = tagged_dir
     return stats
 
 
-def _make_attach_shard(pid: str):
-    """Constant `shard` partition column for one phase-1 branch (closure
-    factory — late-binding a loop variable into a lambda would alias)."""
-
-    def attach(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "shard", pa.array([pid] * batch.num_rows, pa.string())
-        )
-
-    return attach
-
-
-def _walk_parquet(root: str) -> List[str]:
-    out = []
-    for dirpath, _dirs, names in os.walk(root):
-        for n in sorted(names):
-            if n.endswith(".parquet"):
-                out.append(os.path.join(dirpath, n))
-    return sorted(out)
+def _phase1_refs(out_dir: str) -> List[str]:
+    """Phase 2's input refs: ``pid|digest`` per tagged shard manifest, the
+    digest over that shard's input refs and layout. Adding, pruning or
+    re-inputting a shard changes them, so phase 2 re-runs even when called
+    on its own; a shard rebuilt from the same inputs keeps them, because
+    its output is a function of those inputs."""
+    refs = []
+    for m in read_manifests(os.path.join(out_dir, "tagged")):
+        key = json.dumps([m.get("input_refs"), m.get("layout")])
+        refs.append(f"{m['partition_id']}|"
+                    f"{hashlib.sha1(key.encode()).hexdigest()[:16]}")
+    return refs
 
 
 def _kind_files(out_dir: str, kind: str) -> List[str]:
@@ -426,7 +320,9 @@ def run_phase2(out_dir: str, force: bool = False) -> Dict:
         name: os.path.join(out_dir, name)
         for name in ("triples", "edges", "nodes", "mapping")
     }
-    if not force and all(manifest_valid(d, "all") for d in dirs.values()):
+    refs = _phase1_refs(out_dir)
+    if not force and all(manifest_valid(d, "all", input_refs=refs)
+                         for d in dirs.values()):
         return {
             "triples_dir": dirs["triples"],
             "edges_dir": dirs["edges"],
@@ -526,8 +422,7 @@ def run_phase2(out_dir: str, force: bool = False) -> Dict:
         os.makedirs(mapping_shard, exist_ok=True)
         pq.write_table(mtbl, os.path.join(mapping_shard, "part-0.parquet"))
         n_mapping = mtbl.num_rows
-    write_manifest(dirs["mapping"], "all",
-                   input_refs=[os.path.join(out_dir, "tagged")],
+    write_manifest(dirs["mapping"], "all", input_refs=refs,
                    rows_out=n_mapping, wall_s=time.time() - tm)
 
     # --- canonical triples. Broadcast path: task-based rewrite against the
@@ -605,8 +500,7 @@ def run_phase2(out_dir: str, force: bool = False) -> Dict:
         A failed write re-raises here, BEFORE the manifest exists."""
         if triples_write is not None:
             triples_write.join_checked()
-        write_manifest(dirs["triples"], "all",
-                       input_refs=[os.path.join(out_dir, "tagged")],
+        write_manifest(dirs["triples"], "all", input_refs=refs,
                        rows_out=n_triples,
                        wall_s=time.time() - t0)
 
@@ -623,7 +517,7 @@ def run_phase2(out_dir: str, force: bool = False) -> Dict:
     # error propagates.
     edges_err = None
     try:
-        _edges_pass(canonical_triples, dirs, n_triples)
+        _edges_pass(canonical_triples, dirs, n_triples, refs)
     except BaseException as exc:
         edges_err = exc
         raise
@@ -730,8 +624,7 @@ def run_phase2(out_dir: str, force: bool = False) -> Dict:
             )
         )
         nodes.write_parquet(os.path.join(dirs["nodes"], "shard=all"))
-    write_manifest(dirs["nodes"], "all",
-                   input_refs=[os.path.join(out_dir, "tagged")],
+    write_manifest(dirs["nodes"], "all", input_refs=refs,
                    rows_out=-1, wall_s=time.time() - t2)
 
     return {
@@ -743,7 +636,7 @@ def run_phase2(out_dir: str, force: bool = False) -> Dict:
 
 
 def _edges_pass(canonical_triples: "rd.Dataset", dirs: Dict,
-                n_triples: int) -> None:
+                n_triples: int, refs: List[str]) -> None:
     """Edges: map side runs distributed (edge-id derivation); the final
     dedup/count is ONE driver-side pyarrow group_by with count_distinct
     below the threshold (observations ~ triples — tens of MB), else the
@@ -822,8 +715,7 @@ def _edges_pass(canonical_triples: "rd.Dataset", dirs: Dict,
             )
         )
         edges.write_parquet(os.path.join(dirs["edges"], "shard=all"))
-    write_manifest(dirs["edges"], "all",
-                   input_refs=[dirs["triples"]],
+    write_manifest(dirs["edges"], "all", input_refs=refs,
                    rows_out=-1, wall_s=time.time() - t1)
 
 
@@ -832,12 +724,11 @@ def run_kg_pipeline(
     out_dir: str,
     shards: int = 1,
     model_path: Optional[str] = None,
-    tag_concurrency=TAG_CONCURRENCY,
     files_per_shard: Optional[int] = None,
 ) -> Dict:
     s1 = run_phase1(page_files, out_dir, shards=shards, model_path=model_path,
-                    tag_concurrency=tag_concurrency,
                     files_per_shard=files_per_shard)
-    # any phase-1 work invalidates phase 2's output regardless of manifests
+    # any phase-1 work invalidates phase 2's output; a changed shard set
+    # (e.g. pruned shards) is caught by the phase-2 manifests' input refs
     s2 = run_phase2(out_dir, force=s1["shards_run"] > 0)
     return {**s1, **s2}

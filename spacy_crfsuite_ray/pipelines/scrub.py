@@ -1,7 +1,7 @@
 """Resumable document-scrub pipeline: the map-only scrub pass
-(``ops.clean.scrub_batch``) wrapped in the same per-shard lineage-manifest
-machinery as the KG write (``stages.graph`` / ``pipelines.kg.run_phase1``),
-so a failed or restarted run skips every finished shard.
+(``ops.clean.scrub_batch``) run through the shared sharded-manifest runner
+(``pipelines.shards.run_sharded``), so a failed or restarted run skips every
+finished shard.
 
 Layout: ``out_dir/shard=<pid>/*.parquet`` + ``out_dir/_manifest/<pid>.json``.
 A manifest records the shard's exact input refs (path|size|mtime) and output
@@ -13,18 +13,12 @@ and prunes shard dirs that are no longer in the live pid set.
 from __future__ import annotations
 
 import os
-import shutil
-import time
 from typing import Dict, List, Optional
-
-import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray.data as rd
 
 from ..ops.clean import scrub_batch
-from ..stages.graph import input_ref_entries, manifest_valid, write_manifest
-from .kg import _shard_groups, _stable_shard_groups, _walk_parquet
+from .shards import _walk_parquet, output_stats, run_sharded
 
 # bump to invalidate manifests written by an older on-disk layout
 SCRUB_LAYOUT_VERSION = "scrub-shard-v1"
@@ -48,81 +42,14 @@ def run_scrub_pipeline(
     ``files_per_shard`` switches to INCREMENTAL sharding (fixed-size
     name-sorted chunks keyed by a basename hash — appends re-run only the
     new chunks); otherwise the input files round-robin into ``shards``
-    groups. Non-manifested shards run as ONE streaming execution (each a
-    branch tagged with its ``shard`` column, unioned, hive-partitioned on
-    write) — the same batching `pipelines.kg.run_phase1` uses to avoid
-    per-shard stream ramp-up."""
+    groups."""
     files = scrub_input_files(input_path)
     if not files:
         raise ValueError(f"run_scrub_pipeline: no parquet under {input_path}")
-    os.makedirs(out_dir, exist_ok=True)
-    stats: Dict = {"shards_run": 0, "shards_skipped": 0}
-    if files_per_shard is not None:
-        pid_groups = _stable_shard_groups(files, files_per_shard)
-    else:
-        pid_groups = [
-            (f"{shard_id:05d}", group)
-            for shard_id, group in enumerate(_shard_groups(files, shards))
-        ]
-    # prune shard dirs not in the live pid set (stale shard counts /
-    # sharding-mode switches must not leak into downstream reads)
-    live = {pid for pid, _ in pid_groups}
-    for name in os.listdir(out_dir):
-        suffix = name.split("=", 1)[1] if name.startswith("shard=") else ""
-        if suffix and suffix not in live:
-            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
-            stale = os.path.join(out_dir, "_manifest", f"{suffix}.json")
-            if os.path.exists(stale):
-                os.remove(stale)
-    refs = {pid: input_ref_entries(group) for pid, group in pid_groups}
-    to_run = []
-    for pid, group in pid_groups:
-        if manifest_valid(out_dir, pid, input_refs=refs[pid],
-                          layout=SCRUB_LAYOUT_VERSION):
-            stats["shards_skipped"] += 1
-        else:
-            to_run.append((pid, group))
-
-    if to_run:
-        t0 = time.time()
-        branches = []
-        for pid, group in to_run:
-            shutil.rmtree(os.path.join(out_dir, f"shard={pid}"),
-                          ignore_errors=True)  # stale partial output
-            ds = rd.read_parquet(group)
-            ds = ds.map_batches(scrub_batch, batch_format="pyarrow")
-            ds = ds.map_batches(_attach_shard(pid), batch_format="pyarrow")
-            branches.append(ds)
-        all_ds = branches[0] if len(branches) == 1 else branches[0].union(
-            *branches[1:]
-        )
-        all_ds.write_parquet(out_dir, partition_cols=["shard"])
-        wall = time.time() - t0
-        for pid, _group in to_run:
-            shard_dir = os.path.join(out_dir, f"shard={pid}")
-            rows = sum(
-                pq.read_metadata(f).num_rows for f in _walk_parquet(shard_dir)
-            )
-            write_manifest(out_dir, pid, input_refs=refs[pid],
-                           rows_out=rows, wall_s=wall,
-                           extra={"layout": SCRUB_LAYOUT_VERSION,
-                                  "batched_with": len(to_run)})
-            stats["shards_run"] += 1
-
-    out_files = _walk_parquet(out_dir)
-    stats["rows"] = sum(pq.read_metadata(f).num_rows for f in out_files)
-    stats["files"] = len(out_files)
-    stats["out_dir"] = out_dir
-    return stats
-
-
-def _attach_shard(pid: str):
-    """Constant ``shard`` partition column for one branch (closure factory —
-    late-binding a loop variable into a lambda would alias)."""
-
-    def attach(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "shard", pa.array([pid] * batch.num_rows, pa.string())
-        )
-
-    return attach
+    stats = run_sharded(
+        files, out_dir, SCRUB_LAYOUT_VERSION,
+        lambda group: rd.read_parquet(group).map_batches(
+            scrub_batch, batch_format="pyarrow"),
+        shards=shards, files_per_shard=files_per_shard,
+    )
+    return {**stats, **output_stats(out_dir)}

@@ -90,7 +90,7 @@ def edge_observation_combiner(batch: pa.Table) -> pa.Table:
 def input_ref_entries(paths: List[str]) -> List[str]:
     """Lineage refs that invalidate on an IN-PLACE rewrite of an input file:
     ``path|size|mtime_ns``. Shard pids stay name-keyed (stable across appends,
-    pipelines/kg.py:_stable_shard_groups) but a manifest recorded against
+    pipelines/shards.py:_stable_shard_groups) but a manifest recorded against
     these refs fails validation when any input's bytes change, so the shard
     re-runs instead of silently reusing stale output."""
     out = []
@@ -109,7 +109,7 @@ def write_manifest(
     extra: Optional[Dict] = None,
 ) -> str:
     """Per-partition lineage + metrics record. A partition whose manifest
-    exists and validates is SKIPPED on resume (see pipelines/kg.py)."""
+    exists and validates is SKIPPED on resume (see pipelines/shards.py)."""
     manifest_dir = os.path.join(out_dir, "_manifest")
     os.makedirs(manifest_dir, exist_ok=True)
     files = []

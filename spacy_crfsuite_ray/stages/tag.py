@@ -1,10 +1,11 @@
-"""CRF tagging stage — the stateful actor-pool heart of the pipeline.
+"""CRF tagging stage — the stateful heart of the pipeline.
 
 Mirrors the reference's per-process model singleton (T1/T2 in SURVEY.md §2.4)
-as a callable CLASS for ``map_batches(CRFTagStage, concurrency=N, ...)``:
-the CRF weights + tokenizer load once per actor in ``__init__``; ``__call__``
-tags one Arrow batch of sentences (tokenize → featurize → forward-backward
-marginals → BILOU span decode, reference crf_extractor.py:148-165 semantics).
+as a callable CLASS, ``CRFTagStage``, cached once per Ray worker process by
+``tag_batch``: the CRF weights + tokenizer load once in ``__init__``;
+``__call__`` tags one Arrow batch of sentences (tokenize → featurize →
+forward-backward marginals → BILOU span decode, reference
+crf_extractor.py:148-165 semantics).
 """
 
 from __future__ import annotations
@@ -49,10 +50,8 @@ _WORKER_STAGE_CACHE: dict = {}
 def tag_batch(batch: pa.Table, model_path: Optional[str] = None) -> pa.Table:
     """Task-based tagging with a per-WORKER-PROCESS singleton stage (module
     global — survives across tasks in the same Ray worker). For this CRF the
-    state is a ~100KB npz, so warm task workers beat spawning an actor pool;
-    a heavyweight model (GBs of weights) should use ``CRFTagStage`` with
-    ``map_batches(..., concurrency=N)`` instead — same semantics, pinned
-    processes."""
+    state is a ~100KB npz, so warm task workers beat spawning an actor
+    pool."""
     key = model_path or "__default__"
     stage = _WORKER_STAGE_CACHE.get(key)
     if stage is None:

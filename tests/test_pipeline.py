@@ -23,8 +23,7 @@ def pipeline_out(fixture_pages):
 
     pages_dir, gold_path, base = fixture_pages
     out = os.path.join(base, "out")
-    res = run_kg_pipeline(page_files(pages_dir), out, shards=2,
-                          tag_concurrency=(1, 2))
+    res = run_kg_pipeline(page_files(pages_dir), out, shards=2)
     return res, out
 
 
@@ -117,8 +116,7 @@ def test_manifests_written_and_resume_skips(fixture_pages, pipeline_out):
     os.remove(victim)
     assert not manifest_valid(tagged_dir, "00000")
     shutil.rmtree(shard_dir)
-    stats = run_phase1(page_files(pages_dir), out, shards=2,
-                       tag_concurrency=(1, 2))
+    stats = run_phase1(page_files(pages_dir), out, shards=2)
     assert stats["shards_run"] == 1 and stats["shards_skipped"] == 1
 
 

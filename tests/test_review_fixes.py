@@ -61,9 +61,9 @@ def test_resume_reshard_reruns_and_prunes(ray_session, tmp_path):
     pages_dir, _ = generate_pages(30, str(tmp_path / "p"), rows_per_file=10)
     files = page_files(pages_dir)
     out = str(tmp_path / "out")
-    run_phase1(files, out, shards=3, tag_concurrency=(1, 2))
+    run_phase1(files, out, shards=3)
     rows3 = n_sentence_rows(out)
-    stats = run_phase1(files, out, shards=1, tag_concurrency=(1, 2))
+    stats = run_phase1(files, out, shards=1)
     assert stats["shards_run"] == 1  # stale manifests must NOT be reused
     shard_dirs = [d for d in os.listdir(os.path.join(out, "tagged"))
                   if d.startswith("shard=")]
