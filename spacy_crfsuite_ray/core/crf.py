@@ -6,6 +6,19 @@ is unavailable here, so this is a from-scratch implementation of the published
 linear-chain CRF algorithms (Lafferty et al. 2001; Nocedal L-BFGS). What must
 match the reference is the *decoded spans*, not the weights (SURVEY.md §7.3).
 
+Training is batched: ``fit`` packs the encoded gold sentences once into a
+``TrainBatch`` (length-sorted padded sub-batches of flat feature-id/weight
+arrays, token → (sentence, position) indices, gold labels and the constant
+gold transition counts). Each objective call then runs, per sub-batch, one
+fancy-index of ``W`` plus a segment reduce for the state scores, one padded
+forward-backward (``padded_alpha_beta``, shared with ``fast_tag``), one
+sorted-segment reduce over feature ids for the state gradient and a masked
+outer-product sum for the transition gradient. Every reduction runs in a
+fixed order, so the fitted weights (and the saved npz) are deterministic.
+The optimizer is one L-BFGS loop (``lbfgs``) shared by ``fit`` — whose
+best-dev-set selection is its ``on_step`` callback — and the data-parallel
+``pipelines.train.fit_distributed``.
+
 Feature-dict encoding mirrors pycrfsuite's ItemSequence semantics:
 - str value        → attribute "key=value", weight 1.0
 - bool             → attribute "key", weight 1.0 / 0.0
@@ -17,7 +30,7 @@ Zero-weight attributes are dropped (mathematically identical).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,6 +79,272 @@ class EncodedSentence:
         self.ids = ids
         self.wts = wts
         self.labels = labels
+
+
+# Widest transition-weight range for which exp(Tr - max Tr) keeps every
+# entry a normal float (e^-500 >> 1e-308): up to it the recursions run as
+# scaled exp-space matrix products, beyond it as exact log-space reductions.
+EXP_RANGE = 500.0
+
+
+def _exp_transitions(Tr: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+    """(max Tr, exp(Tr - max Tr)), or (max Tr, None) when the range of
+    ``Tr`` is too wide for the exp-space path."""
+    t_shift = float(Tr.max())
+    if t_shift - float(Tr.min()) > EXP_RANGE:
+        return t_shift, None
+    return t_shift, np.exp(Tr - t_shift)
+
+
+def padded_alpha_beta(S: np.ndarray, lens: np.ndarray, Tr: np.ndarray):
+    """Forward (alpha) and backward (beta) log-potentials of a padded
+    (B, Tm, L) state-score tensor of sentences with lengths ``lens``, under
+    transitions ``Tr``. beta is reset to 0 at each sentence end, so every
+    real position holds that sentence's own values; padded positions hold
+    finite junk that callers must mask. Shared by batched tagging
+    (``fast_tag``) and batched training (``TrainBatch``)."""
+    B, Tm, L = S.shape
+    t_shift, expT = _exp_transitions(Tr)  # keep exp() in range
+
+    alpha = np.zeros((B, Tm, L))
+    alpha[:, 0] = S[:, 0]
+    for t in range(1, Tm):
+        prev = alpha[:, t - 1]  # (B, L)
+        if expT is None:
+            lse = _logsumexp(prev[:, :, None] + Tr, axis=1)
+        else:
+            m = prev.max(axis=1, keepdims=True)
+            lse = m + t_shift + np.log(
+                np.einsum("bi,ij->bj", np.exp(prev - m), expT)
+            )
+        alpha[:, t] = S[:, t] + lse
+
+    beta = np.zeros((B, Tm, L))
+    # rows finishing at t get beta=0 (enforced by init + reset below)
+    for t in range(Tm - 2, -1, -1):
+        nxt = S[:, t + 1] + beta[:, t + 1]  # (B, L)
+        if expT is None:
+            lse = _logsumexp(Tr + nxt[:, None, :], axis=2)
+        else:
+            m = nxt.max(axis=1, keepdims=True)
+            lse = m + t_shift + np.log(
+                np.einsum("ij,bj->bi", expT, np.exp(nxt - m))
+            )
+        beta[:, t] = lse
+        ending = lens - 1 == t
+        if ending.any():
+            beta[ending, t] = 0.0
+    return alpha, beta
+
+
+# Sentences per padded sub-batch, in training and in fast_tag's batched
+# tagging: bounds the (B, Tm, L) tensors, so memory does not grow with the
+# number of sentences.
+SUB_BATCH = 512
+
+
+class _SubBatch:
+    """One padded sub-batch of encoded gold sentences, as flat index arrays
+    built once per fit: feature ids/weights concatenated in token order, the
+    token → padded (sentence, position) index, gold label ids, the non-empty
+    token segments for the state-score reduce and the feature-id-sorted
+    segments for the state-gradient reduce."""
+
+    def __init__(self, encs: List[EncodedSentence]):
+        self.lens = np.array([len(e.ids) for e in encs], dtype=np.int64)
+        B, Tm = len(encs), int(self.lens.max())
+        self.shape = (B, Tm)
+        n_tok = int(self.lens.sum())
+        self.tok_b = np.repeat(np.arange(B), self.lens)
+        tok_t = np.arange(n_tok) - np.repeat(np.cumsum(self.lens) - self.lens,
+                                              self.lens)
+        self.tok_pos = self.tok_b * Tm + tok_t
+        self.gold = np.concatenate([e.labels for e in encs])
+        counts = np.array([ids.size for e in encs for ids in e.ids],
+                          dtype=np.int64)
+        self.ids = np.concatenate([ids for e in encs for ids in e.ids])
+        self.wts = np.concatenate([w for e in encs for w in e.wts])
+        # reduceat mishandles zero-length segments (tokens with no known
+        # feature), so reduce over the non-empty tokens only: their starts
+        # are strictly increasing and each segment runs to the next one
+        nz = counts > 0
+        self.nz_tok = np.flatnonzero(nz)
+        self.nz_starts = (np.cumsum(counts) - counts)[nz]
+        order = np.argsort(self.ids, kind="stable")
+        sorted_ids = self.ids[order]
+        first = np.ones(sorted_ids.size, dtype=bool)
+        first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+        self.uniq = sorted_ids[first]
+        self.uniq_starts = np.flatnonzero(first)
+        self.sorted_tok = np.repeat(np.arange(n_tok), counts)[order]
+        self.sorted_wts = self.wts[order]
+        # pair (t, t + 1) is real iff t + 1 < len
+        self.pair_mask = np.arange(1, Tm)[None, :] < self.lens[:, None]
+
+    def accumulate(self, W: np.ndarray, Tr: np.ndarray, gW: np.ndarray,
+                   pair: np.ndarray) -> float:
+        """Add this sub-batch's expected-minus-gold state counts into ``gW``
+        and its expected transition counts into ``pair``; return
+        Σ logZ − gold state score."""
+        B, Tm = self.shape
+        L = Tr.shape[0]
+        n_tok = self.tok_pos.size
+        S_tok = np.zeros((n_tok, L))
+        if self.ids.size:
+            rows = W.take(self.ids, axis=0)
+            rows *= self.wts[:, None]  # in place: no second (nnz, L) array
+            S_tok[self.nz_tok] = np.add.reduceat(rows, self.nz_starts, axis=0)
+        S = np.zeros((B * Tm, L))
+        S[self.tok_pos] = S_tok
+        S = S.reshape(B, Tm, L)
+        alpha, beta = padded_alpha_beta(S, self.lens, Tr)
+        last = alpha[np.arange(B), self.lens - 1]
+        m = last.max(axis=1)
+        logZ = m + np.log(np.exp(last - m[:, None]).sum(axis=1))
+        tok = np.arange(n_tok)
+        nll = float(logZ.sum()) - float(S_tok[tok, self.gold].sum())
+
+        # unary marginals, gathered at real tokens only
+        diff = np.exp(alpha.reshape(-1, L)[self.tok_pos]
+                      + beta.reshape(-1, L)[self.tok_pos]
+                      - logZ[self.tok_b][:, None])
+        diff[tok, self.gold] -= 1.0
+        if self.ids.size:
+            rows = diff.take(self.sorted_tok, axis=0)
+            rows *= self.sorted_wts[:, None]
+            gW[self.uniq] += np.add.reduceat(rows, self.uniq_starts, axis=0)
+
+        if Tm > 1:
+            # pair marginal (b, t, i, j) = exp(alpha[t, i] + Tr[i, j]
+            # + S[t + 1, j] + beta[t + 1, j] - logZ). Padded pairs are masked
+            # to -inf BEFORE exp: their alpha/beta are not log-probabilities
+            # and would overflow (inf * 0 = nan in the sum).
+            A = alpha[:, :-1]
+            V = S[:, 1:] + beta[:, 1:]
+            t_shift, expT = _exp_transitions(Tr)
+            if expT is None:  # exact, one (B, L, L) slice per position
+                for t in range(Tm - 1):
+                    lp = A[:, t, :, None] + Tr + V[:, t, None, :]
+                    lp -= logZ[:, None, None]
+                    lp[~self.pair_mask[:, t]] = -np.inf
+                    pair += np.exp(lp).sum(axis=0)
+            else:  # factored into an outer product: no (B, Tm, L, L) tensor
+                mA = A.max(axis=2)
+                mV = V.max(axis=2)
+                c = np.where(self.pair_mask,
+                             mA + mV + t_shift - logZ[:, None], -np.inf)
+                U = np.exp(A - mA[..., None]) * np.exp(c)[..., None]
+                pair += expT * np.einsum("bti,btj->ij", U,
+                                         np.exp(V - mV[..., None]))
+        return nll
+
+
+class TrainBatch:
+    """Encoded gold sentences packed once per fit for the batched training
+    kernel: length-sorted sub-batches of at most ``SUB_BATCH`` sentences
+    (bounded padding and memory), plus the gold transition counts, a
+    constant."""
+
+    def __init__(self, encs: List[EncodedSentence], n_labels: int):
+        order = sorted(range(len(encs)), key=lambda i: len(encs[i].ids))
+        self.parts = [
+            _SubBatch([encs[i] for i in order[c:c + SUB_BATCH]])
+            for c in range(0, len(order), SUB_BATCH)
+        ]
+        self.gold_T = np.zeros((n_labels, n_labels))
+        for enc in encs:
+            np.add.at(self.gold_T, (enc.labels[:-1], enc.labels[1:]), 1.0)
+
+    def nll_grad(self, W: np.ndarray, Tr: np.ndarray):
+        """(nll, gW, gT): one padded forward-backward per sub-batch."""
+        gW = np.zeros_like(W)
+        pair = np.zeros_like(Tr)
+        nll = -float((self.gold_T * Tr).sum())
+        for part in self.parts:
+            nll += part.accumulate(W, Tr, gW, pair)
+        return nll, gW, pair - self.gold_T
+
+
+def unpack(theta: np.ndarray, F: int, L: int):
+    """Flat parameter vector → (W (F, L), T (L, L)) views."""
+    return theta[:F * L].reshape(F, L), theta[F * L:].reshape(L, L)
+
+
+def penalized(nll_grad, theta: np.ndarray, c1: float, c2: float):
+    """crfsuite's objective over the flat parameters: NLL + c2·||θ||² + c1·|θ|₁
+    (the L1 term through its sign pseudo-gradient). Returns (loss, grad)."""
+    nll, gW, gT = nll_grad
+    loss = nll + c2 * float(theta @ theta) + c1 * float(np.abs(theta).sum())
+    grad = np.concatenate([gW.ravel(), gT.ravel()])
+    grad += 2.0 * c2 * theta + c1 * np.sign(theta)
+    return loss, grad
+
+
+def lbfgs(
+    objective: Callable[[np.ndarray], Tuple[float, np.ndarray]],
+    theta0: np.ndarray,
+    max_iterations: int,
+    tol: float,
+    on_step: Optional[Callable[[np.ndarray], None]] = None,
+) -> np.ndarray:
+    """Minimize ``objective(theta) -> (loss, grad)`` by L-BFGS (Nocedal):
+    two-loop recursion over the last 10 curvature pairs, Armijo
+    backtracking line search, steepest descent when the direction is not a
+    descent direction. Stops after ``max_iterations`` steps, when the line
+    search fails, or when the relative loss improvement drops below ``tol``.
+    ``on_step`` sees every accepted iterate (a fresh array each step)."""
+    theta = theta0
+    loss, grad = objective(theta)
+    s_hist: List[np.ndarray] = []
+    y_hist: List[np.ndarray] = []
+    for _ in range(max_iterations):
+        # L-BFGS two-loop recursion
+        q = grad.copy()
+        alphas = []
+        for s, yv in zip(reversed(s_hist), reversed(y_hist)):
+            rho = 1.0 / (yv @ s)
+            a = rho * (s @ q)
+            alphas.append((a, rho, s, yv))
+            q -= a * yv
+        if y_hist:
+            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
+            q *= gamma
+        for a, rho, s, yv in reversed(alphas):
+            b = rho * (yv @ q)
+            q += (a - b) * s
+        direction = -q
+        # backtracking Armijo line search
+        step = 1.0
+        d_dot_g = direction @ grad
+        if d_dot_g >= 0:  # safeguard: fall back to steepest descent
+            direction = -grad
+            d_dot_g = -(grad @ grad)
+        new = None
+        for _ls in range(30):
+            cand = theta + step * direction
+            l2, g2 = objective(cand)
+            if l2 <= loss + 1e-4 * step * d_dot_g:
+                new = (l2, g2, cand)
+                break
+            step *= 0.5
+        if new is None:
+            break
+        new_loss, new_grad, new_theta = new
+        s_vec = new_theta - theta
+        y_vec = new_grad - grad
+        if (y_vec @ s_vec) > 1e-10:
+            s_hist.append(s_vec)
+            y_hist.append(y_vec)
+            if len(s_hist) > 10:
+                s_hist.pop(0)
+                y_hist.pop(0)
+        rel_improve = abs(loss - new_loss) / max(1.0, abs(loss))
+        theta, loss, grad = new_theta, new_loss, new_grad
+        if on_step is not None:
+            on_step(theta)
+        if rel_improve < tol:
+            break
+    return theta
 
 
 class LinearChainCRF:
@@ -170,46 +449,20 @@ class LinearChainCRF:
 
     # ------------------------------------------------------------------ training
 
-    def _nll_grad(self, encs: List[EncodedSentence], W: np.ndarray, T: np.ndarray):
-        """Negative log-likelihood and gradients over encoded sentences."""
-        gW = np.zeros_like(W)
-        gT = np.zeros_like(T)
-        nll = 0.0
-        self.W, self.T = W, T  # used by _state_scores/_forward_backward
-        for enc in encs:
-            S = self._state_scores(enc)
-            log_alpha, log_beta, log_Z = self._forward_backward(S)
-            y = enc.labels
-            Tn = S.shape[0]
-            # empirical score
-            score = S[np.arange(Tn), y].sum() + (T[y[:-1], y[1:]].sum() if Tn > 1 else 0.0)
-            nll += log_Z - score
-            # unary marginals
-            marg = np.exp(log_alpha + log_beta - log_Z)
-            for t in range(Tn):
-                if enc.ids[t].size:
-                    diff = marg[t].copy()
-                    diff[y[t]] -= 1.0
-                    np.add.at(gW, enc.ids[t], enc.wts[t][:, None] * diff[None, :])
-            # pairwise marginals
-            for t in range(1, Tn):
-                pair = (log_alpha[t - 1][:, None] + T + (S[t] + log_beta[t])[None, :]) - log_Z
-                gT += np.exp(pair)
-                gT[y[t - 1], y[t]] -= 1.0
-        return nll, gW, gT
+    @staticmethod
+    def _nll_grad(encs: Union[List[EncodedSentence], "TrainBatch"],
+                  W: np.ndarray, T: np.ndarray):
+        """Negative log-likelihood and gradients over encoded gold sentences
+        (a list is packed into a ``TrainBatch`` on the fly; ``fit`` packs
+        once and passes the batch)."""
+        if not isinstance(encs, TrainBatch):
+            encs = TrainBatch(encs, T.shape[0])
+        return encs.nll_grad(W, T)
 
-    def fit(
-        self,
-        X: Sequence[Sequence[Dict[str, Any]]],
-        y: Sequence[Sequence[str]],
-        c1: float = 0.1,
-        c2: float = 0.1,
-        max_iterations: int = 100,
-        tol: float = 1e-5,
-        X_dev=None,
-        y_dev=None,
-    ) -> "LinearChainCRF":
-        # label & feature vocab build (deterministic: first-seen order)
+    def _encode_gold(self, X: Sequence[Sequence[Dict[str, Any]]],
+                     y: Sequence[Sequence[str]]) -> List[EncodedSentence]:
+        """Build the label and feature vocabularies (first-seen order, so
+        deterministic) and encode the non-empty training sentences."""
         self.labels = []
         seen = set()
         for tags in y:
@@ -226,20 +479,27 @@ class LinearChainCRF:
             enc = self._encode(sent, grow_vocab=True)
             enc.labels = np.asarray([lab_idx[t] for t in tags], dtype=np.int64)
             encs.append(enc)
-        F, L = len(self.vocab), len(self.labels)
-        n_state = F * L
+        return encs
 
-        def unpack(theta):
-            return theta[:n_state].reshape(F, L), theta[n_state:].reshape(L, L)
+    def fit(
+        self,
+        X: Sequence[Sequence[Dict[str, Any]]],
+        y: Sequence[Sequence[str]],
+        c1: float = 0.1,
+        c2: float = 0.1,
+        max_iterations: int = 100,
+        tol: float = 1e-5,
+        X_dev=None,
+        y_dev=None,
+    ) -> "LinearChainCRF":
+        encs = self._encode_gold(X, y)
+        lab_idx = {lab: i for i, lab in enumerate(self.labels)}
+        F, L = len(self.vocab), len(self.labels)
+        batch = TrainBatch(encs, L)
 
         def objective(theta):
-            W, T = unpack(theta)
-            nll, gW, gT = self._nll_grad(encs, W, T)
-            # L2 (crfsuite: c2 * ||w||^2) + L1 pseudo-gradient for c1
-            loss = nll + c2 * float(theta @ theta) + c1 * float(np.abs(theta).sum())
-            grad = np.concatenate([gW.ravel(), gT.ravel()])
-            grad += 2.0 * c2 * theta + c1 * np.sign(theta)
-            return loss, grad
+            return penalized(self._nll_grad(batch, *unpack(theta, F, L)),
+                             theta, c1, c2)
 
         # optional dev set: track held-out NLL each iteration and keep the
         # best-dev weights at the end (crfsuite-style holdout monitoring
@@ -253,69 +513,22 @@ class LinearChainCRF:
                 enc.labels = np.asarray([lab_idx[t] for t in tags],
                                         dtype=np.int64)
                 dev_encs.append(enc)
+        theta0 = np.zeros(F * L + L * L)
+        if not dev_encs:
+            theta = lbfgs(objective, theta0, max_iterations, tol)
+        else:
+            dev_batch = TrainBatch(dev_encs, L)
+            best = [np.inf, theta0]  # (dev NLL, weights)
 
-        def dev_nll(theta):
-            W, T = unpack(theta)
-            nll, _gW, _gT = self._nll_grad(dev_encs, W, T)
-            return nll
+            def keep_best(theta):
+                d = self._nll_grad(dev_batch, *unpack(theta, F, L))[0]
+                if d < best[0]:
+                    best[:] = [d, theta]
 
-        theta = np.zeros(n_state + L * L)
-        loss, grad = objective(theta)
-        best_dev = (dev_nll(theta), theta.copy()) if dev_encs else None
-        s_hist: List[np.ndarray] = []
-        y_hist: List[np.ndarray] = []
-        m = 10
-        for _ in range(max_iterations):
-            # L-BFGS two-loop recursion
-            q = grad.copy()
-            alphas = []
-            for s, yv in zip(reversed(s_hist), reversed(y_hist)):
-                rho = 1.0 / (yv @ s)
-                a = rho * (s @ q)
-                alphas.append((a, rho, s, yv))
-                q -= a * yv
-            if y_hist:
-                gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-                q *= gamma
-            for a, rho, s, yv in reversed(alphas):
-                b = rho * (yv @ q)
-                q += (a - b) * s
-            direction = -q
-            # backtracking Armijo line search
-            step = 1.0
-            d_dot_g = direction @ grad
-            if d_dot_g >= 0:  # safeguard: fall back to steepest descent
-                direction = -grad
-                d_dot_g = -(grad @ grad)
-            new_loss, new_grad, new_theta = None, None, None
-            for _ls in range(30):
-                cand = theta + step * direction
-                l2, g2 = objective(cand)
-                if l2 <= loss + 1e-4 * step * d_dot_g:
-                    new_loss, new_grad, new_theta = l2, g2, cand
-                    break
-                step *= 0.5
-            if new_theta is None:
-                break
-            s_vec = new_theta - theta
-            y_vec = new_grad - grad
-            if (y_vec @ s_vec) > 1e-10:
-                s_hist.append(s_vec)
-                y_hist.append(y_vec)
-                if len(s_hist) > m:
-                    s_hist.pop(0)
-                    y_hist.pop(0)
-            rel_improve = abs(loss - new_loss) / max(1.0, abs(loss))
-            theta, loss, grad = new_theta, new_loss, new_grad
-            if best_dev is not None:
-                d = dev_nll(theta)
-                if d < best_dev[0]:
-                    best_dev = (d, theta.copy())
-            if rel_improve < tol:
-                break
-        if best_dev is not None:
-            theta = best_dev[1]
-        self.W, self.T = unpack(theta)
+            keep_best(theta0)
+            lbfgs(objective, theta0, max_iterations, tol, on_step=keep_best)
+            theta = best[1]
+        self.W, self.T = unpack(theta, F, L)
         return self
 
     # ------------------------------------------------------------------ artifacts

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from .bilou import NO_ENTITY_TAG
-from .crf import flatten_features
+from .crf import SUB_BATCH, flatten_features, padded_alpha_beta
 from .extractor import CRFExtractor
 from .features import FUNCTION_DICT, CRFToken
 from .tokenizer import pos_of, span_tokenize, word_shape
@@ -164,9 +164,8 @@ class FastTagger:
         bound padding waste."""
         order = sorted(range(len(S_list)), key=lambda i: S_list[i].shape[0])
         results: List[Optional[np.ndarray]] = [None] * len(S_list)
-        chunk = 512
-        for c0 in range(0, len(order), chunk):
-            idxs = order[c0:c0 + chunk]
+        for c0 in range(0, len(order), SUB_BATCH):
+            idxs = order[c0:c0 + SUB_BATCH]
             results_chunk = self._marginals_padded([S_list[i] for i in idxs])
             for i, m in zip(idxs, results_chunk):
                 results[i] = m
@@ -180,32 +179,7 @@ class FastTagger:
         S = np.zeros((B, Tm, L))
         for b, sb in enumerate(S_list):
             S[b, :sb.shape[0]] = sb
-        Tr = self.T
-        t_shift = float(Tr.max())  # keep exp() in range whatever the weights
-        expT = np.exp(Tr - t_shift)
-
-        alpha = np.zeros((B, Tm, L))
-        alpha[:, 0] = S[:, 0]
-        for t in range(1, Tm):
-            prev = alpha[:, t - 1]  # (B, L)
-            m = prev.max(axis=1, keepdims=True)
-            lse = m + t_shift + np.log(
-                np.einsum("bi,ij->bj", np.exp(prev - m), expT)
-            )
-            alpha[:, t] = S[:, t] + lse
-
-        beta = np.zeros((B, Tm, L))
-        # rows finishing at t get beta=0 (enforced by init + reset below)
-        for t in range(Tm - 2, -1, -1):
-            nxt = S[:, t + 1] + beta[:, t + 1]  # (B, L)
-            m = nxt.max(axis=1, keepdims=True)
-            lse = m + t_shift + np.log(
-                np.einsum("ij,bj->bi", expT, np.exp(nxt - m))
-            )
-            beta[:, t] = lse
-            ending = lens - 1 == t
-            if ending.any():
-                beta[ending, t] = 0.0
+        alpha, beta = padded_alpha_beta(S, lens, self.T)
 
         out = []
         for b in range(B):

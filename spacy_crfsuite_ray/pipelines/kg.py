@@ -56,7 +56,7 @@ from ..stages.link import (
 )
 from ..stages.relations import derive_union_batch
 from ..stages.tag import tag_batch
-from ..state.model import ensure_default_model
+from ..state.model import ensure_default_model, model_digest
 from ..functions.hashing import node_id as _node_id
 from ..functions.tables import stable_rename
 from .shards import run_sharded
@@ -118,23 +118,27 @@ def run_phase1(
 
     # hive-partition by (shard, kind): consumers prune whole files
     # (entities vs triples vs surface counts) per shard instead of
-    # row-filtering mixed files
+    # row-filtering mixed files. The tags depend on the language filter and
+    # the model as much as on the pages: both are in the manifest key, so
+    # changing either re-runs the shard.
     stats = run_sharded(page_files, tagged_dir, LAYOUT_VERSION, branch,
                         partition_cols=("shard", "kind"), shards=shards,
-                        files_per_shard=files_per_shard)
+                        files_per_shard=files_per_shard,
+                        key=f"{lang}|{model_digest(model_path)}")
     stats["tagged_dir"] = tagged_dir
     return stats
 
 
 def _phase1_refs(out_dir: str) -> List[str]:
     """Phase 2's input refs: ``pid|digest`` per tagged shard manifest, the
-    digest over that shard's input refs and layout. Adding, pruning or
-    re-inputting a shard changes them, so phase 2 re-runs even when called
-    on its own; a shard rebuilt from the same inputs keeps them, because
-    its output is a function of those inputs."""
+    digest over that shard's input refs, layout and key (language + model).
+    Adding, pruning, re-inputting or re-tagging a shard changes them, so
+    phase 2 re-runs even when called on its own; a shard rebuilt from the
+    same inputs and key keeps them, because its output is a function of
+    those."""
     refs = []
     for m in read_manifests(os.path.join(out_dir, "tagged")):
-        key = json.dumps([m.get("input_refs"), m.get("layout")])
+        key = json.dumps([m.get("input_refs"), m.get("layout"), m.get("key")])
         refs.append(f"{m['partition_id']}|"
                     f"{hashlib.sha1(key.encode()).hexdigest()[:16]}")
     return refs

@@ -81,6 +81,7 @@ def run_sharded(
     shards: int = 1,
     files_per_shard: Optional[int] = None,
     empty_schema: Optional[pa.Schema] = None,
+    key: Optional[str] = None,
 ) -> Dict:
     """Run ``branch_fn(group)`` for every shard whose manifest does not
     validate, write all of them in one execution partitioned on
@@ -89,7 +90,9 @@ def run_sharded(
     chunks, otherwise the files round-robin into ``shards`` groups.
     ``branch_fn`` is called only for shards that run.
     A shard whose branch emits no rows gets an ``empty_schema`` file, when
-    given, so downstream reads stay schema-stable."""
+    given, so downstream reads stay schema-stable. ``key`` names the run
+    parameters the output depends on beyond its inputs (e.g. language and
+    model); when given it is recorded and must match for a shard to skip."""
     # validated before anything is pruned: a bad value must not wipe output
     if files_per_shard is not None:
         if files_per_shard < 1:
@@ -114,11 +117,13 @@ def run_sharded(
                 os.remove(stale)
     refs = {pid: input_ref_entries(group) for pid, group in groups}
     # skip only when the manifest covers EXACTLY this input group (paths +
-    # sizes + mtimes) and layout — a different sharding, an in-place input
-    # rewrite or an older layout must re-run, never mix old and new output
+    # sizes + mtimes), layout and key — a different sharding, an in-place
+    # input rewrite, an older layout or other run parameters must re-run,
+    # never mix old and new output
     to_run = [
         (pid, group) for pid, group in groups
-        if not manifest_valid(out_dir, pid, input_refs=refs[pid], layout=layout)
+        if not manifest_valid(out_dir, pid, input_refs=refs[pid],
+                              layout=layout, key=key)
     ]
     stats = {"shards_run": len(to_run),
              "shards_skipped": len(groups) - len(to_run)}
@@ -149,7 +154,8 @@ def run_sharded(
                            os.path.join(shard_dir, "empty-0.parquet"))
         write_manifest(out_dir, pid, input_refs=refs[pid], rows_out=rows,
                        wall_s=wall,
-                       extra={"layout": layout, "batched_with": len(to_run)})
+                       extra={"layout": layout, "key": key,
+                              "batched_with": len(to_run)})
     return stats
 
 

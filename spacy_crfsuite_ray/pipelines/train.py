@@ -9,8 +9,9 @@ Reference parity:
   (n_jobs); here every (candidate × fold) cell is a RAY TASK — the classic
   fan-out (SURVEY.md §2.6 A3).
 - ``fit_distributed`` is the scale path for CRFExtractor.train (A1): the
-  featurized gold set is sharded into Ray object-store chunks; each L-BFGS
-  iteration fans out gradient tasks and reduces (loss, grad) on the driver.
+  featurized gold set is packed into per-chunk training batches in the Ray
+  object store; each L-BFGS iteration fans out gradient tasks and reduces
+  (loss, grad) on the driver.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.crf import EncodedSentence, LinearChainCRF
+from ..core.crf import LinearChainCRF, TrainBatch, lbfgs, penalized, unpack
 from ..core.extractor import CRFExtractor, classification_report
 from ..core.features import CRFToken, sentence_to_tags
 
@@ -131,108 +132,33 @@ def fit_distributed(
     tol: float = 1e-5,
     n_chunks: int = 8,
 ) -> LinearChainCRF:
-    """Data-parallel L-BFGS: encoded sentence chunks live in the object
-    store; each iteration's (nll, grad) is a sum of per-chunk Ray tasks.
-    Matches ``LinearChainCRF.fit`` exactly for the same data (same
-    deterministic init/line search — only the gradient summation is
+    """Data-parallel L-BFGS: the gold set is packed into per-chunk training
+    batches that live in the object store; each iteration's (nll, grad) is a
+    sum of per-chunk Ray tasks running the batched kernel. Matches
+    ``LinearChainCRF.fit`` for the same data (same vocabulary build and the
+    same ``core.crf.lbfgs`` loop — only the gradient summation is
     distributed)."""
     import ray
 
     crf = LinearChainCRF()
     # vocab/labels build (driver pass — vocabulary must be global)
-    crf.labels = []
-    seen = set()
-    for tags in y:
-        for tag in tags:
-            if tag not in seen:
-                seen.add(tag)
-                crf.labels.append(tag)
-    lab_idx = {lab: i for i, lab in enumerate(crf.labels)}
-    crf.vocab = {}
-    encs: List[EncodedSentence] = []
-    for sent, tags in zip(X, y):
-        if not sent:
-            continue
-        enc = crf._encode(sent, grow_vocab=True)
-        enc.labels = np.asarray([lab_idx[t] for t in tags], dtype=np.int64)
-        encs.append(enc)
+    encs = crf._encode_gold(X, y)
     F, L = len(crf.vocab), len(crf.labels)
-    n_state = F * L
     n_chunks = max(1, min(n_chunks, len(encs)))
-    chunk_refs = [
-        ray.put(encs[i::n_chunks]) for i in range(n_chunks)
-    ]
-    labels = crf.labels
-    vocab_size = F
+    chunk_refs = [ray.put(TrainBatch(encs[i::n_chunks], L))
+                  for i in range(n_chunks)]
 
     @ray.remote(num_cpus=1)
-    def grad_task(chunk, theta):
-        worker = LinearChainCRF()
-        worker.labels = labels
-        worker.vocab = {}  # encoded ids already resolved; vocab unused
-        W = theta[:n_state].reshape(vocab_size, L)
-        T = theta[n_state:].reshape(L, L)
-        nll, gW, gT = worker._nll_grad(chunk, W, T)
-        return nll, gW, gT
+    def grad_task(batch, theta):
+        return LinearChainCRF._nll_grad(batch, *unpack(theta, F, L))
 
     def objective(theta):
-        futures = [grad_task.remote(ref, theta) for ref in chunk_refs]
-        parts = ray.get(futures)
+        parts = ray.get([grad_task.remote(ref, theta) for ref in chunk_refs])
         nll = sum(p[0] for p in parts)
         gW = sum(p[1] for p in parts)
         gT = sum(p[2] for p in parts)
-        loss = nll + c2 * float(theta @ theta) + c1 * float(np.abs(theta).sum())
-        grad = np.concatenate([np.asarray(gW).ravel(), np.asarray(gT).ravel()])
-        grad += 2.0 * c2 * theta + c1 * np.sign(theta)
-        return loss, grad
+        return penalized((nll, gW, gT), theta, c1, c2)
 
-    theta = np.zeros(n_state + L * L)
-    loss, grad = objective(theta)
-    s_hist: List[np.ndarray] = []
-    y_hist: List[np.ndarray] = []
-    for _ in range(max_iterations):
-        q = grad.copy()
-        alphas = []
-        for s, yv in zip(reversed(s_hist), reversed(y_hist)):
-            rho = 1.0 / (yv @ s)
-            a = rho * (s @ q)
-            alphas.append((a, rho, s, yv))
-            q -= a * yv
-        if y_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        for a, rho, s, yv in reversed(alphas):
-            b = rho * (yv @ q)
-            q += (a - b) * s
-        direction = -q
-        d_dot_g = direction @ grad
-        if d_dot_g >= 0:
-            direction = -grad
-            d_dot_g = -(grad @ grad)
-        step = 1.0
-        new = None
-        for _ls in range(30):
-            cand = theta + step * direction
-            l2, g2 = objective(cand)
-            if l2 <= loss + 1e-4 * step * d_dot_g:
-                new = (l2, g2, cand)
-                break
-            step *= 0.5
-        if new is None:
-            break
-        l2, g2, cand = new
-        s_vec = cand - theta
-        y_vec = g2 - grad
-        if (y_vec @ s_vec) > 1e-10:
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            if len(s_hist) > 10:
-                s_hist.pop(0)
-                y_hist.pop(0)
-        rel = abs(loss - l2) / max(1.0, abs(loss))
-        theta, loss, grad = cand, l2, g2
-        if rel < tol:
-            break
-    crf.W = theta[:n_state].reshape(F, L)
-    crf.T = theta[n_state:].reshape(L, L)
+    theta = lbfgs(objective, np.zeros(F * L + L * L), max_iterations, tol)
+    crf.W, crf.T = unpack(theta, F, L)
     return crf

@@ -155,11 +155,12 @@ def write_manifest(
 
 def manifest_valid(out_dir: str, partition_id: str,
                    input_refs: Optional[List[str]] = None,
-                   layout: Optional[str] = None) -> bool:
+                   layout: Optional[str] = None,
+                   key: Optional[str] = None) -> bool:
     """True iff the manifest exists, every listed file is present with the
-    recorded size, and (when given) the recorded input_refs and layout tag
-    match — a resume with re-partitioned inputs or an older on-disk layout
-    must not reuse stale shard output."""
+    recorded size, and (when given) the recorded input_refs, layout tag and
+    run key match — a resume with re-partitioned inputs, an older on-disk
+    layout or other run parameters must not reuse stale shard output."""
     path = os.path.join(out_dir, "_manifest", f"{partition_id}.json")
     if not os.path.exists(path):
         return False
@@ -171,6 +172,8 @@ def manifest_valid(out_dir: str, partition_id: str,
     if input_refs is not None and record.get("input_refs") != list(input_refs):
         return False
     if layout is not None and record.get("layout") != layout:
+        return False
+    if key is not None and record.get("key") != key:
         return False
     part_dir = os.path.join(out_dir, f"shard={partition_id}")
     for entry in record.get("files", []):

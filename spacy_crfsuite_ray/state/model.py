@@ -1,15 +1,19 @@
 """Default KG tagger model artifact.
 
 Trained once on the driver over the deterministic synthetic gold set (same
-vocabularies/templates as the pages fixture), saved as an npz, and loaded ONCE
-PER ACTOR in the tag stage's ``__init__`` — mirroring the reference's
-per-process model singletons (/root/reference/spacy_crfsuite/serve.py:38-60)
-as an actor-pool pattern. Training is deterministic, so the artifact is
-content-stable across runs.
+vocabularies/templates as the pages fixture) and saved as an npz. Each Ray
+worker process loads it at most once: ``stages/tag.py:tag_batch`` keeps a
+per-worker singleton tagger, built on the first batch that worker tags and
+reused by every later task it runs, and ``load_extractor`` below caches the
+loaded model per process — mirroring the reference's per-process model
+singletons (the reference's ``spacy_crfsuite/serve.py:38-60``). Training is
+deterministic, so the artifact is content-stable across runs, and
+``model_digest`` names it in phase-1 manifests.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 import threading
@@ -64,6 +68,16 @@ def ensure_default_model(path: Optional[str] = None) -> str:
                 ext.ent_tagger.save(tmp)
                 os.replace(tmp, path)
     return path
+
+
+def model_digest(path: str) -> str:
+    """First 16 hex chars of the model file's sha256: names the model in
+    manifests, so output tagged by another model never counts as current."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()[:16]
 
 
 def _config_key(config: Optional[Dict]) -> str:

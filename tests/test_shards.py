@@ -1,7 +1,8 @@
 """The shared sharded-manifest runner (pipelines/shards.py) as the kg, scrub
 and export pipelines drive it: phase-2 staleness after a shard-set change,
-rejection of bad sharding values, the export's empty-shard output, and the
-CLI's Ray session ownership."""
+phase-1 re-runs when the language or the model changes, rejection of bad
+sharding values, the export's empty-shard output, and the CLI's Ray session
+ownership."""
 
 import os
 
@@ -51,6 +52,59 @@ def test_phase2_reruns_when_a_shard_is_pruned(ray_session, tmp_path):
     for g, w in zip(got, want):
         assert g.equals(w)
     assert run_phase2(out).get("skipped") is True  # now up to date
+
+
+def _rows(out, kind):
+    from spacy_crfsuite_ray.pipelines.kg import _kind_files
+
+    return sum(pq.read_metadata(f).num_rows for f in _kind_files(out, kind))
+
+
+def test_phase1_lang_change_reruns_the_shard(ray_session, tmp_path):
+    """The language filter is part of a shard's key: resuming with another
+    ``lang`` re-tags (here: keeps no sentence) and phase 2 follows; resuming
+    with the same ``lang`` skips."""
+    from spacy_crfsuite_ray.pipelines.kg import run_phase1, run_phase2
+
+    pages_dir, _ = generate_pages(20, str(tmp_path / "p"), rows_per_file=20)
+    files = page_files(pages_dir)
+    out = str(tmp_path / "out")
+    run_phase1(files, out)
+    assert _rows(out, "e") > 0
+    run_phase2(out)
+
+    res = run_phase1(files, out, lang="zz")
+    assert res["shards_run"] == 1 and res["shards_skipped"] == 0
+    assert _rows(out, "e") == 0
+    assert run_phase2(out).get("skipped") is not True
+    res = run_phase1(files, out, lang="zz")
+    assert res["shards_run"] == 0 and res["shards_skipped"] == 1
+    assert run_phase2(out).get("skipped") is True
+
+
+def test_phase1_model_change_reruns_the_shards(ray_session, tmp_path):
+    """The model file's content digest is part of a shard's key: building
+    with another model re-runs every shard and phase 2."""
+    from spacy_crfsuite_ray.core.crf import LinearChainCRF
+    from spacy_crfsuite_ray.pipelines.kg import run_kg_pipeline
+    from spacy_crfsuite_ray.state.model import ensure_default_model
+
+    pages_dir, _ = generate_pages(24, str(tmp_path / "p"), rows_per_file=8)
+    files = page_files(pages_dir)
+    out = str(tmp_path / "out")
+    first = run_kg_pipeline(files, out, files_per_shard=1)
+    assert first["shards_run"] == 3
+    assert run_kg_pipeline(files, out, files_per_shard=1)["skipped"] is True
+
+    other = LinearChainCRF.load(ensure_default_model())
+    other.W = other.W * 1.5
+    other_path = str(tmp_path / "other.npz")
+    other.save(other_path)
+    res = run_kg_pipeline(files, out, model_path=other_path, files_per_shard=1)
+    assert res["shards_run"] == 3 and res["shards_skipped"] == 0
+    assert res.get("skipped") is not True
+    res = run_kg_pipeline(files, out, model_path=other_path, files_per_shard=1)
+    assert res["shards_run"] == 0 and res["skipped"] is True
 
 
 def _write_docs(in_dir, n_files):
