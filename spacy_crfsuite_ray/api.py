@@ -8,10 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from .core.fast_tag import FastTagger, config_is_cacheable
-from .core.tokenizer import RegexTokenizer
-from .stages.tag import tag_sentences
-from .state.model import load_extractor
+from .stages.tag import tag_texts
 
 
 def parse_texts(
@@ -19,20 +16,8 @@ def parse_texts(
     model_path: Optional[str] = None,
     config: Optional[Dict] = None,
 ) -> List[Dict[str, Any]]:
-    """Tag a batch of raw texts. Uses the fast batched path when the model
-    config allows it (identical output either way)."""
-    extractor = load_extractor(model_path, config)
-    if config_is_cacheable(extractor.component_config["features"]):
-        # the warm FastTagger lives ON the extractor so the association
-        # can never outlive it (an id()-keyed cache could serve a stale
-        # tagger for a recycled id after garbage collection)
-        fast = getattr(extractor, "_fast_tagger", None)
-        if fast is None:
-            fast = FastTagger(extractor)
-            extractor._fast_tagger = fast
-        ents = fast.tag_texts(texts)
-    else:
-        ents = tag_sentences(extractor, RegexTokenizer(), texts)
+    """Tag a batch of raw texts with ``stages/tag.py:tag_texts``."""
+    ents = tag_texts(texts, model_path, config)
     return [{"text": t, "entities": e} for t, e in zip(texts, ents)]
 
 

@@ -34,8 +34,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-NEG_INF = -1e30
-
 
 def flatten_features(fd: Dict[str, Any], prefix: str = "") -> List[Tuple[str, float]]:
     out: List[Tuple[str, float]] = []

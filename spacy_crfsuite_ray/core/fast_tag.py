@@ -29,8 +29,6 @@ from .extractor import CRFExtractor
 from .features import FUNCTION_DICT, CRFToken
 from .tokenizer import pos_of, span_tokenize, word_shape
 
-NEG = -1e30
-
 
 def config_is_cacheable(features: List[List[str]]) -> bool:
     """True when every configured feature is a pure function of token text.

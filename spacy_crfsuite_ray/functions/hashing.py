@@ -13,7 +13,6 @@ from typing import Iterable, List
 
 import numpy as np
 
-_MERSENNE = (1 << 61) - 1
 _MINHASH_SEED = 1
 
 

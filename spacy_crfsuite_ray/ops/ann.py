@@ -153,11 +153,6 @@ def _n_planes(n_vectors: int) -> int:
     return max(2, min(LSH_PLANES, int(np.log2(max(2, n_vectors / 8)))))
 
 
-def _hyperplanes(dim: int, n_planes: int = LSH_PLANES) -> np.ndarray:
-    rng = np.random.RandomState(LSH_SEED)
-    return rng.normal(size=(n_planes, dim))
-
-
 def _bucket_of(vecs: np.ndarray, planes: np.ndarray) -> np.ndarray:
     bits = (vecs @ planes.T) > 0
     return (bits * (1 << np.arange(planes.shape[0]))).sum(axis=1)

@@ -567,8 +567,8 @@ def corpus_report_sql() -> str:
 #           left-outer join ships each doc's text through the shuffle
 #           exactly once. Paths are equality-tested.
 PARA_DEDUP_BROADCAST_MAX = 2_000_000
-# paragraphs-per-doc bound for the packed first-wins key (documented
-# partitioning assumption: doc_id * STRIDE + idx must fit int64)
+# paragraphs-per-doc bound for the packed first-wins key doc_id * STRIDE +
+# idx; a doc with more paragraphs raises instead of colliding with the next
 PARA_PK_STRIDE = 1_000_000
 
 
@@ -584,6 +584,13 @@ def _para_key_arrays(batch: pa.Table):
     counts = pc.list_value_length(paras).to_numpy(
         zero_copy_only=False
     ).astype(np.int64)
+    if len(counts) and counts.max() > PARA_PK_STRIDE:
+        row = int(counts.argmax())
+        raise ValueError(
+            f"doc_id {batch.column('doc_id')[row].as_py()} has "
+            f"{int(counts[row])} paragraphs; the packed paragraph key "
+            f"allows at most PARA_PK_STRIDE={PARA_PK_STRIDE}"
+        )
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]]) \
         if len(counts) else np.zeros(0, np.int64)
     total = int(counts.sum())

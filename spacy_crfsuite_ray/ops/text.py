@@ -381,9 +381,6 @@ def doc_sample(sf_dir: str, hex_threshold: str = "1999") -> "rd.Dataset":
 # with ZERO document shuffle. Above it, term rows hash-join the df table and
 # a doc_id groupby ranks — identical output, equality-tested.
 TFIDF_BROADCAST_MAX_TERMS = 2_000_000
-# ASCII-letter runs, lowercased PER TOKEN (never whole-text lower(): Unicode
-# case folding can differ between engines; ASCII-only lowering cannot).
-_TFIDF_TOKEN = "[A-Za-z]+"
 
 
 def _tfidf_score(tf, df, n_docs: int):

@@ -106,8 +106,8 @@ def run_phase1(
             lambda b: filter_lang(b, lang), batch_format="pyarrow"
         )
         ds = ds.map_batches(explode_sentences, batch_format="pyarrow")
-        # task-based tagging with a per-worker model singleton
-        # (stages/tag.py tag_batch) — warm task workers, no actor spawn
+        # task-based tagging: each warm task worker loads the model once
+        # (state/model.py load_extractor cache) — no actor spawn
         ds = ds.map_batches(
             tag_batch,
             batch_format="pyarrow",
@@ -162,16 +162,14 @@ def _kind_files(out_dir: str, kind: str) -> List[str]:
 # Below this many surface-count rows, phase 2's linking/nodes run on the
 # driver (they fit trivially); above it, the distributed banded-groupby path
 # runs. Both produce identical mappings (tests/test_pipeline.py).
-DRIVER_MERGE_MAX_ROWS = int(os.environ.get("SCR_DRIVER_MERGE_MAX_ROWS", 5_000_000))
+DRIVER_MERGE_MAX_ROWS = 5_000_000
 # Above this many UNIQUE surfaces the surface->canonical mapping is never
 # collected or broadcast: it stays a Dataset, the chain flatten runs as a
 # mapping self-join, and canonicalization is a (type, norm) hash-join against
 # triples and surfaces. Nothing in phase 2 then grows with corpus vocabulary
 # on the driver or in worker heaps. Join path == broadcast path byte-for-byte
 # (tests/test_large_paths.py).
-MAPPING_BROADCAST_MAX_ROWS = int(
-    os.environ.get("SCR_MAPPING_BROADCAST_MAX_ROWS", 5_000_000)
-)
+MAPPING_BROADCAST_MAX_ROWS = 5_000_000
 
 
 def _mapping_ds_raw(surf: "rd.Dataset") -> "rd.Dataset":

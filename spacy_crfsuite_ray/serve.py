@@ -9,8 +9,9 @@ Endpoints:
   "end"}, ...]}, ...]}`` — the reference Response/Sentence/Entity shape.
 
 The handler delegates to :func:`spacy_crfsuite_ray.api.parse_texts`, which
-keeps a warm FastTagger per loaded model, so serving cost is the batched
-inference kernel, not per-request model loads.
+tags with the warm FastTagger of the cached model (reloaded only when the
+model file changes), so serving cost is the batched inference kernel, not
+per-request model loads.
 """
 
 from __future__ import annotations

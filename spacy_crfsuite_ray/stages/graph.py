@@ -18,26 +18,6 @@ import pyarrow as pa
 
 from ..functions.hashing import edge_id
 
-NODE_SCHEMA = pa.schema(
-    [
-        ("node_id", pa.string()),
-        ("canonical", pa.string()),
-        ("type", pa.string()),
-        ("n_mentions", pa.int64()),
-    ]
-)
-EDGE_SCHEMA = pa.schema(
-    [
-        ("edge_id", pa.string()),
-        ("subj_id", pa.string()),
-        ("pred", pa.string()),
-        ("obj_id", pa.string()),
-        ("n_sources", pa.int64()),
-        ("confidence", pa.float64()),
-    ]
-)
-
-
 _EDGE_ID_MEMO: dict = {}
 
 

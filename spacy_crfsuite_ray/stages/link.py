@@ -49,11 +49,6 @@ def _surface_counts(type_col, value_col) -> pa.Table:
     )
 
 
-def surface_counts_batch(batch: pa.Table) -> pa.Table:
-    """Combiner: raw mentions → unique (type, norm, cnt) within the batch."""
-    return _surface_counts(batch.column("type"), batch.column("value"))
-
-
 def entity_surface_counts_batch(batch: pa.Table) -> pa.Table:
     """Combiner straight from tagged sentences: entities list column →
     unique (type, norm, cnt) — skips materializing one row per mention."""
@@ -102,18 +97,6 @@ def resolve_block_group(group: pd.DataFrame) -> pd.DataFrame:
             "type": group["type"].iloc[0],
             "norm": list(mapping.keys()),
             "canonical": list(mapping.values()),
-        }
-    )
-
-
-def min_canonical_group(group: pd.DataFrame) -> pd.DataFrame:
-    """Merge per-block resolutions: min canonical per (type, norm) —
-    the same first-wins-over-sorted-blocks rule as the oracle."""
-    return pd.DataFrame(
-        {
-            "type": [group["type"].iloc[0]],
-            "norm": [group["norm"].iloc[0]],
-            "canonical": [group["canonical"].min()],
         }
     )
 
@@ -230,12 +213,3 @@ class ApplyCanonicalToTriples:
         batch = batch.append_column("subj_id", subj_ids)
         batch = batch.append_column("obj_id", obj_ids)
         return batch
-
-
-class ApplyCanonicalToMentions(ApplyCanonicalToTriples):
-    def __call__(self, batch: pa.Table) -> pa.Table:  # noqa: D102
-        canon, ids = self._resolve_arrays(
-            batch.column("value"), batch.column("type")
-        )
-        batch = batch.append_column("canonical", canon)
-        return batch.append_column("node_id", ids)

@@ -6,18 +6,6 @@ import pyarrow as pa
 
 from ..core.relations import extract_relations
 
-TRIPLE_SCHEMA = pa.schema(
-    [
-        ("subj", pa.string()),
-        ("pred", pa.string()),
-        ("obj", pa.string()),
-        ("subj_type", pa.string()),
-        ("obj_type", pa.string()),
-        ("url", pa.string()),
-        ("confidence", pa.float64()),
-    ]
-)
-
 MENTION_SCHEMA = pa.schema(
     [
         ("url", pa.string()),
@@ -26,19 +14,6 @@ MENTION_SCHEMA = pa.schema(
         ("confidence", pa.float64()),
     ]
 )
-
-
-def relations_batch(batch: pa.Table) -> pa.Table:
-    """(url, sent, entities) → triple rows (0..n per sentence)."""
-    rows = []
-    for url, sent, ents in zip(
-        batch.column("url").to_pylist(),
-        batch.column("sent").to_pylist(),
-        batch.column("entities").to_pylist(),
-    ):
-        if ents:
-            rows.extend(extract_relations(sent, ents, url=url))
-    return pa.Table.from_pylist(rows, schema=TRIPLE_SCHEMA)
 
 
 DERIVED_SCHEMA = pa.schema(

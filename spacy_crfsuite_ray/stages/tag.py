@@ -1,11 +1,15 @@
-"""CRF tagging stage — the stateful heart of the pipeline.
+"""CRF tagging — the one entry point the tag stage, the API and the server
+share.
 
-Mirrors the reference's per-process model singleton (T1/T2 in SURVEY.md §2.4)
-as a callable CLASS, ``CRFTagStage``, cached once per Ray worker process by
-``tag_batch``: the CRF weights + tokenizer load once in ``__init__``;
-``__call__`` tags one Arrow batch of sentences (tokenize → featurize →
-forward-backward marginals → BILOU span decode, reference
-crf_extractor.py:148-165 semantics).
+``tag_texts`` gets the model from ``state/model.py:load_extractor`` (the
+per-process model singleton of SURVEY.md §2.4 T1/T2, reloaded when the model
+file changes) and tags with the warm ``FastTagger`` kept on that extractor
+when the feature config allows it, or with the per-sentence
+``tag_sentences`` otherwise (reference crf_extractor.py:148-165 semantics;
+both paths give identical entities, tests/test_fast_tag.py). ``tag_batch``
+is the Ray ``map_batches`` UDF over a ``sent`` column: as a module function
+it runs in warm task workers, and the model cache makes each worker load the
+~100KB npz once, so no actor pool is needed.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Any, Dict, List, Optional
 
 import pyarrow as pa
 
+from ..core.fast_tag import FastTagger, config_is_cacheable
 from ..core.tokenizer import RegexTokenizer
 from ..state.model import load_extractor
 
@@ -44,45 +49,26 @@ def tag_sentences(
     return out
 
 
-_WORKER_STAGE_CACHE: dict = {}
+def tag_texts(
+    texts: List[str],
+    model_path: Optional[str] = None,
+    config: Optional[Dict] = None,
+) -> List[List[Dict[str, Any]]]:
+    """Entities for each text, from the current model at ``model_path``."""
+    extractor = load_extractor(model_path, config)
+    if not config_is_cacheable(extractor.component_config["features"]):
+        return tag_sentences(extractor, RegexTokenizer(), texts)
+    # the warm tagger lives ON the cached extractor, so it is dropped with
+    # the extractor when the model file changes
+    fast = getattr(extractor, "fast_tagger", None)
+    if fast is None:
+        fast = extractor.fast_tagger = FastTagger(extractor)
+    return fast.tag_texts(texts)
 
 
 def tag_batch(batch: pa.Table, model_path: Optional[str] = None) -> pa.Table:
-    """Task-based tagging with a per-WORKER-PROCESS singleton stage (module
-    global — survives across tasks in the same Ray worker). For this CRF the
-    state is a ~100KB npz, so warm task workers beat spawning an actor
-    pool."""
-    key = model_path or "__default__"
-    stage = _WORKER_STAGE_CACHE.get(key)
-    if stage is None:
-        stage = CRFTagStage(model_path)
-        _WORKER_STAGE_CACHE[key] = stage
-    return stage(batch)
-
-
-class CRFTagStage:
-    """Uses the cached/batched fast path (core/fast_tag.py) when the model
-    config allows it; falls back to the per-sentence reference-semantics path
-    otherwise. Both produce identical entities (tests/test_fast_tag.py)."""
-
-    def __init__(self, model_path: Optional[str] = None,
-                 config: Optional[Dict] = None):
-        from ..core.fast_tag import FastTagger, config_is_cacheable
-
-        self.extractor = load_extractor(model_path, config)
-        self.tokenizer = RegexTokenizer()
-        self.fast = (
-            FastTagger(self.extractor)
-            if config_is_cacheable(self.extractor.component_config["features"])
-            else None
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        sentences = batch.column("sent").to_pylist()
-        if self.fast is not None:
-            entities = self.fast.tag_texts(sentences)
-        else:
-            entities = tag_sentences(self.extractor, self.tokenizer, sentences)
-        return batch.append_column(
-            "entities", pa.array(entities, type=pa.list_(ENTITY_TYPE))
-        )
+    """Append the ``entities`` column for the batch's ``sent`` column."""
+    entities = tag_texts(batch.column("sent").to_pylist(), model_path)
+    return batch.append_column(
+        "entities", pa.array(entities, type=pa.list_(ENTITY_TYPE))
+    )

@@ -1,14 +1,22 @@
 """Default KG tagger model artifact.
 
 Trained once on the driver over the deterministic synthetic gold set (same
-vocabularies/templates as the pages fixture) and saved as an npz. Each Ray
-worker process loads it at most once: ``stages/tag.py:tag_batch`` keeps a
-per-worker singleton tagger, built on the first batch that worker tags and
-reused by every later task it runs, and ``load_extractor`` below caches the
-loaded model per process — mirroring the reference's per-process model
-singletons (the reference's ``spacy_crfsuite/serve.py:38-60``). Training is
+vocabularies/templates as the pages fixture) and saved as an npz. Training is
 deterministic, so the artifact is content-stable across runs, and
 ``model_digest`` names it in phase-1 manifests.
+
+``load_extractor`` is the package's one model cache — the per-process model
+singleton of the reference (``spacy_crfsuite/serve.py:38-60``). Every Ray
+worker, the API and the server reach the model through it (via
+``stages/tag.py:tag_texts``), so each process loads a model file once and
+reuses it for every later task or request. An entry is keyed on the model
+file as it is NOW: (absolute path, config) plus the file's identity
+(``st_mtime_ns``, ``st_size``, ``st_ino`` from one ``os.stat``). A file
+rewritten or ``os.replace``d in place therefore reloads on the next call, and
+the reload replaces the entry, so a long-lived process holds one model per
+(path, config), never one per rewrite. (A same-size rewrite through the same
+inode within the filesystem's timestamp granularity is invisible to a stat;
+model writers here use ``os.replace``, which always changes the inode.)
 """
 
 from __future__ import annotations
@@ -17,14 +25,15 @@ import hashlib
 import os
 import tempfile
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.crf import LinearChainCRF
 from ..core.extractor import CRFExtractor, gold_example_to_crf_tokens
 from ..core.tokenizer import RegexTokenizer
 
 _LOCK = threading.Lock()
-_CACHE: Dict[str, CRFExtractor] = {}
+# (abspath, config key) -> (file identity, extractor)
+_CACHE: Dict[Tuple[str, str], Tuple[Tuple[int, int, int], CRFExtractor]] = {}
 
 DEFAULT_CONFIG = {"c1": 0.003, "c2": 0.03, "max_iter": 150}
 
@@ -88,14 +97,21 @@ def _config_key(config: Optional[Dict]) -> str:
 
 def load_extractor(path: Optional[str] = None,
                    config: Optional[Dict] = None) -> CRFExtractor:
-    """Load a CRFExtractor from an npz artifact (process-level cache,
-    keyed by path AND config so different configs never share state)."""
+    """Load a CRFExtractor from an npz artifact (process-level cache, keyed
+    by path AND config so different configs never share state, and
+    reloaded when the file's identity changes — see the module docstring).
+    The stat precedes the load, so a file replaced in between reloads on the
+    next call rather than being served stale."""
     path = path or ensure_default_model()
+    st = os.stat(path)
+    ident = (st.st_mtime_ns, st.st_size, st.st_ino)
     key = (os.path.abspath(path), _config_key(config))
     with _LOCK:
-        if key not in _CACHE:
-            _CACHE[key] = CRFExtractor(config, ent_tagger=LinearChainCRF.load(path))
-        return _CACHE[key]
+        hit = _CACHE.get(key)
+        if hit is None or hit[0] != ident:
+            hit = (ident, CRFExtractor(config, ent_tagger=LinearChainCRF.load(path)))
+            _CACHE[key] = hit
+        return hit[1]
 
 
 def convert_reference_weights(

@@ -236,3 +236,22 @@ def test_corpus_report_paths_equal_and_match_oracle(ray_session,
     dist = clean.corpus_report(fixture_dir).to_pandas()
     dist = dist[sorted(dist.columns)].reset_index(drop=True)
     pd.testing.assert_frame_equal(driver, dist, check_dtype=False)
+
+
+def test_para_key_bound_raises_instead_of_colliding():
+    """A doc with more than PARA_PK_STRIDE paragraphs would pack keys into
+    the next doc's range; it must raise, naming the doc. Driver-only."""
+    import numpy as np
+
+    from spacy_crfsuite_ray.ops.clean import PARA_PK_STRIDE, _para_key_arrays
+
+    def table(newlines):
+        return pa.table({"doc_id": pa.array([7], pa.int64()),
+                         "text": pa.array(["x" + "\n" * newlines])})
+
+    with pytest.raises(ValueError, match="doc_id 7"):
+        _para_key_arrays(table(1_000_000))
+    # exactly STRIDE paragraphs still fit: idx runs 0..STRIDE-1
+    pk = _para_key_arrays(table(PARA_PK_STRIDE - 1))[-1]
+    assert pk[0] == 7 * PARA_PK_STRIDE and pk[-1] < 8 * PARA_PK_STRIDE
+    assert len(np.unique(pk)) == PARA_PK_STRIDE

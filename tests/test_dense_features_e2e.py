@@ -78,3 +78,22 @@ def test_dense_config_not_fast_path_eligible():
     from spacy_crfsuite_ray.core.fast_tag import config_is_cacheable
 
     assert not config_is_cacheable(DENSE_CONFIG["features"])
+
+
+def test_tag_texts_takes_reference_path_for_dense_config(tmp_path):
+    from spacy_crfsuite_ray.stages.tag import tag_sentences, tag_texts
+    from spacy_crfsuite_ray.state.model import load_extractor
+
+    tok = RegexTokenizer()
+    ext = CRFExtractor(DENSE_CONFIG)
+    ext.train([gold_example_to_crf_tokens(dict(e), tokenizer=tok,
+                                          featurizer=ext.featurizer)
+               for e in GOLD])
+    path = str(tmp_path / "dense.npz")
+    ext.ent_tagger.save(path)
+    texts = [e["text"] for e in GOLD] + ["", "thai place in the north"]
+    got = tag_texts(texts, path, DENSE_CONFIG)
+    cached = load_extractor(path, DENSE_CONFIG)
+    assert got == tag_sentences(cached, RegexTokenizer(), texts)
+    assert any(got)
+    assert not hasattr(cached, "fast_tagger")

@@ -72,3 +72,77 @@ def test_fast_marginals_match_slow(model, corpus):
     for t, row in enumerate(slow):
         for j, lab in enumerate(model.ent_tagger.labels):
             assert marg[t, j] == pytest.approx(row[lab], abs=1e-9)
+
+
+def _sentence_table(sents):
+    import pyarrow as pa
+
+    return pa.table({"sent": pa.array(sents, pa.string())})
+
+
+def _assert_same_entities(got, want):
+    """Spans and labels exact, confidences to 1e-9 (the fast path sums
+    marginals in another order than the per-sentence path)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert [(e["start"], e["end"], e["value"], e["entity"]) for e in g] \
+            == [(e["start"], e["end"], e["value"], e["entity"]) for e in w]
+        assert [e["confidence"] for e in g] == pytest.approx(
+            [e["confidence"] for e in w], abs=1e-9)
+
+
+def test_tag_batch_parse_texts_and_reference_agree(model, corpus):
+    from spacy_crfsuite_ray.api import parse_texts
+    from spacy_crfsuite_ray.stages.tag import tag_batch
+
+    sents = corpus[:200] + ["", "   "]
+    path = ensure_default_model()
+    want = tag_sentences(model, RegexTokenizer(), sents)
+    got = tag_batch(_sentence_table(sents), model_path=path)
+    _assert_same_entities(got.column("entities").to_pylist(), want)
+    parsed = parse_texts(sents, model_path=path)
+    assert [r["text"] for r in parsed] == sents
+    _assert_same_entities([r["entities"] for r in parsed], want)
+    assert sum(map(len, want)) > 100
+
+
+def test_model_file_replaced_in_place_is_reloaded(corpus, tmp_path):
+    """A model file rewritten under a live process: the next tag call in
+    the same process uses the new weights, and the cache holds one entry
+    for the path, not one per rewrite."""
+    import os
+    import shutil
+
+    from spacy_crfsuite_ray.api import parse_texts
+    from spacy_crfsuite_ray.core.crf import LinearChainCRF
+    from spacy_crfsuite_ray.core.extractor import CRFExtractor
+    from spacy_crfsuite_ray.stages.tag import tag_batch
+    from spacy_crfsuite_ray.state import model as model_mod
+
+    sents = corpus[:60]
+    p = str(tmp_path / "model.npz")
+    shutil.copyfile(ensure_default_model(), p)
+    old = tag_batch(_sentence_table(sents), model_path=p)
+    old = old.column("entities").to_pylist()
+    assert [r["entities"] for r in parse_texts(sents, model_path=p)] == old
+    first = load_extractor(p)
+    assert load_extractor(p) is first  # unchanged file: same cached object
+
+    crf = LinearChainCRF.load(p)
+    crf.W = np.zeros_like(crf.W)
+    tmp = str(tmp_path / "zeroed.npz")
+    crf.save(tmp)
+    os.replace(tmp, p)
+
+    reloaded = load_extractor(p)
+    assert reloaded is not first
+    assert not reloaded.ent_tagger.W.any()
+    want = tag_sentences(CRFExtractor(None, ent_tagger=LinearChainCRF.load(p)),
+                         RegexTokenizer(), sents)
+    assert [[e["entity"] for e in w] for w in want] \
+        != [[e["entity"] for e in o] for o in old]
+    got = tag_batch(_sentence_table(sents), model_path=p)
+    _assert_same_entities(got.column("entities").to_pylist(), want)
+    _assert_same_entities([r["entities"] for r in parse_texts(sents, model_path=p)],
+                          want)
+    assert sum(k[0] == os.path.abspath(p) for k in model_mod._CACHE) == 1
