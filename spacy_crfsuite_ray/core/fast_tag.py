@@ -5,7 +5,8 @@ throughput:
 
 - per-token-TEXT feature-id cache: in the default config every window feature
   (low/title/prefix/suffix/shape/…) is a pure function of the token text, so
-  the (window-offset → vocab-id list) encoding is memoized per distinct text;
+  the (window-offset → vocab-id list) encoding is memoized per distinct text
+  (cleared on a miss once it holds ``TOKEN_CACHE_MAX`` entries);
 - state scores for a whole batch in 2 numpy calls (fancy-index + reduceat);
 - forward-backward vectorized over a PADDED (B, T, L) tensor, length-sorted
   sub-batches to bound padding waste;
@@ -28,6 +29,13 @@ from .crf import SUB_BATCH, flatten_features, padded_alpha_beta
 from .extractor import CRFExtractor
 from .features import FUNCTION_DICT, CRFToken
 from .tokenizer import pos_of, span_tokenize, word_shape
+
+
+# Entries of FastTagger._cache (one per distinct token text) at which a miss
+# clears it: a long-lived server sees an unbounded stream of novel tokens.
+# One process tagging an 8,000-page fixture reaches ~7,600 entries, so the
+# cap stays idle on the bulk path.
+TOKEN_CACHE_MAX = 65_536
 
 
 def config_is_cacheable(features: List[List[str]]) -> bool:
@@ -92,6 +100,8 @@ class FastTagger:
                 if name in self.vocab
             )
             out.append(ids)
+        if len(self._cache) >= TOKEN_CACHE_MAX:
+            self._cache.clear()
         self._cache[text] = out
         return out
 

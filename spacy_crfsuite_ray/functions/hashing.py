@@ -124,38 +124,11 @@ def simhash64(tokens: Iterable[str]) -> int:
     )
 
 
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
-
-
 def jaccard(a: set, b: set) -> float:
     if not a and not b:
         return 1.0
     inter = len(a & b)
     return inter / (len(a) + len(b) - inter) if (a or b) else 0.0
-
-
-def rolling_fingerprint(text: str, window: int = 8, keep_mod: int = 16) -> List[int]:
-    """Winnowing-style document fingerprint: polynomial rolling hash over a
-    char window, keep hashes ≡ 0 (mod keep_mod)."""
-    if len(text) < window:
-        return [hash_u32(text)] if text else []
-    base = 257
-    mod = (1 << 31) - 1
-    pw = pow(base, window - 1, mod)
-    h = 0
-    out = []
-    for i, ch in enumerate(text):
-        if i >= window:
-            h = (h - ord(text[i - window]) * pw) % mod
-        h = (h * base + ord(ch)) % mod
-        if i >= window - 1 and h % keep_mod == 0:
-            out.append(h)
-    return out
-
-
-def hash_u32(text: str) -> int:
-    return struct.unpack("<I", hashlib.sha1(text.encode("utf-8")).digest()[:4])[0]
 
 
 # ------------------------------------------------------------------- bloom

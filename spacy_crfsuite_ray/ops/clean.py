@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions.cluster import join_partitions as _small_parts_cap
-from ..functions.tables import read_parquet_nometa, stable_rename
+from ..functions.tables import stable_rename
 
 # RE2 PII patterns — deliberately simple, anchored on word boundaries where
 # digits are involved so they behave identically in Arrow and DuckDB. Order
@@ -171,7 +171,7 @@ def norm_dedup_sql() -> str:
 
 
 def _dedup_lines_frame(batch: pa.Table):
-    """Shared core of dedup_lines / scrub_documents: per doc, drop lines
+    """Shared core of dedup_lines / scrub_batch: per doc, drop lines
     that repeat an earlier identical line (first wins, order preserved —
     pandas groupby preserves within-group row order, matching the oracle's
     (x, i) -> list_position(ls, x) = i lambda). Returns (row indices into
@@ -253,7 +253,10 @@ def dedup_lines_sql() -> str:
 def scrub_batch(batch: pa.Table) -> pa.Table:
     """Per-batch scrub kernel: within-doc duplicate-line removal (first
     wins, order preserved) then PII redaction in the fixed EMAIL -> IPV4 ->
-    PHONE order — cleaned text, per-doc counts, all passthrough columns."""
+    PHONE order — cleaned text, per-doc counts, all passthrough columns.
+    Map-only, so the scrub and export pipelines run it with zero shuffle;
+    cross-doc dedup stays a separate op (norm_dedup / exact_dedup /
+    minhash) because it needs one."""
     idx_np, cleaned, _, n_removed = _dedup_lines_frame(batch)
     idx = pa.array(idx_np, pa.int64())
     text = pa.array(cleaned, pa.string())
@@ -274,20 +277,6 @@ def scrub_batch(batch: pa.Table) -> pa.Table:
     cols["n_lines_removed"] = pa.array(n_removed, pa.int64())
     cols["n_pii_redacted"] = pa.array(n_red, pa.int64())
     return pa.table(cols)
-
-
-def scrub_documents(input_path: str) -> "rd.Dataset":
-    """The map-only scrub pass of a Dolma-style cleaning pipeline (see
-    ``scrub_batch``). Embarrassingly parallel: one streaming scan, zero
-    shuffle, so the output writer's per-block files make the pass
-    resumable per input split — ``pipelines.scrub.run_scrub_pipeline``
-    wraps this with per-shard lineage manifests so a restarted run skips
-    finished shards entirely. Cross-doc dedup deliberately stays a
-    SEPARATE op (norm_dedup / exact_dedup / minhash) — it needs a shuffle
-    this pass avoids."""
-    return read_parquet_nometa(input_path).map_batches(
-        scrub_batch, batch_format="pyarrow"
-    )
 
 
 # Pile-style domain-mixing weights: named sources are up/down-weighted

@@ -27,7 +27,6 @@ from ..functions.tables import read_parquet_nometa
 
 from ..functions.hashing import (
     _shingle_hashes,
-    simhash64,
     text_md5,
     word_shingles,
 )

@@ -76,15 +76,17 @@ def _outdeg_partial_batch(batch: pa.Table) -> pa.Table:
 
 
 def _pagerank_distributed(edges, iters: int):
-    """Iterative Dataset twin over a (src, dst) edge DATASET: the node set
-    and outdeg table are built distributedly (per-batch combiner + one
-    groupby), so NOTHING graph-sized ever lands on the driver — round-3's
-    version still required the full edge list driver-resident before
-    `rd.from_arrow`. Per round, rank//outdeg ships along each edge
-    (edges ⋈ ranks hash-join), folds with groupby-sum, rebases; driver
-    traffic per round is ONE scalar (the dangling mass). Identical int64
-    ops → byte-identical to the numpy driver twin (equality-tested).
-    Returns a (node, r) Dataset."""
+    """Iterative Dataset twin over a (src, dst) edge DATASET. The (node,
+    outdeg) table is built once by per-batch combiners + one groupby, so
+    nothing graph-sized lands on the driver; the rank rows carry outdeg.
+    One round is one execution with one join and one groupby: edges ⋈
+    ranks on src (every src has outdeg > 0, so no filter is needed) gives
+    (dst, r // outdeg, 0), unioned with each node's own (node, 0, outdeg)
+    row (keeps sinks and nodes without in-edges, and carries outdeg on);
+    the groupby sums c and outdeg and the fused rebase makes the new
+    ranks. Driver traffic per round is ONE scalar, the dangling mass.
+    Identical int64 ops → byte-identical to the numpy driver twin
+    (equality-tested). Returns a (node, outdeg, r) Dataset."""
     from ray.data.aggregate import Sum
 
     from ..functions.cluster import join_partitions
@@ -107,67 +109,52 @@ def _pagerank_distributed(edges, iters: int):
     n = node_deg.count()
     base = (PR_SCALE // n) * (PR_DAMP_DEN - PR_DAMP_NUM) // PR_DAMP_DEN
     init_r = PR_SCALE // n
+    ranks = node_deg.map_batches(
+        lambda t: t.append_column(
+            "r", pa.array(np.full(t.num_rows, init_r, np.int64))),
+        batch_format="pyarrow",
+    )
+    out_schema = pa.schema([("node", pa.string()), ("outdeg", pa.int64()),
+                            ("r", pa.int64())])
 
-    def seed(batch: pa.Table) -> pa.Table:
+    def contrib(batch: pa.Table) -> pa.Table:
+        r = np.asarray(batch.column("r"), dtype=np.int64)
+        deg = np.asarray(batch.column("outdeg"), dtype=np.int64)
         return pa.table(
-            {"node": batch.column("node"),
-             "r": pa.array(np.full(batch.num_rows, init_r, np.int64))}
+            {"node": batch.column("dst"),
+             "c": pa.array(r // deg, pa.int64()),
+             "outdeg": pa.array(np.zeros(batch.num_rows, np.int64))}
         )
 
-    def zero_contrib(batch: pa.Table) -> pa.Table:
+    def own_row(batch: pa.Table) -> pa.Table:
         return pa.table(
             {"node": batch.column("node"),
-             "c": pa.array(np.zeros(batch.num_rows, np.int64))}
+             "c": pa.array(np.zeros(batch.num_rows, np.int64)),
+             "outdeg": batch.column("outdeg")}
         )
 
-    ranks = node_deg.map_batches(seed, batch_format="pyarrow")
     for _ in range(iters):
-        rd_full = ranks.join(
-            node_deg, join_type="inner", num_partitions=parts, on=("node",),
-        ).materialize()
-        # dangling mass: one scalar to the driver per round
-        sinks = rd_full.filter(expr="outdeg == 0")
-        dangling = int(sinks.sum("r") or 0) if sinks.count() else 0
-        share = dangling // n
-
-        def contrib(batch: pa.Table) -> pa.Table:
-            r = np.asarray(batch.column("r"), dtype=np.int64)
-            deg = np.asarray(batch.column("outdeg"), dtype=np.int64)
-            return pa.table(
-                {"node": batch.column("dst"),
-                 "c": pa.array(r // np.maximum(deg, 1), pa.int64())}
-            )
-
-        srcs = rd_full.filter(expr="outdeg > 0").map_batches(
-            lambda t: pa.table({"src": t.column("node"),
-                                "r": t.column("r"),
-                                "outdeg": t.column("outdeg")}),
-            batch_format="pyarrow",
-        )
-        in_sums = (
-            edges.join(srcs, join_type="inner", num_partitions=parts,
-                       on=("src",))
-            .map_batches(contrib, batch_format="pyarrow")
-            .union(node_deg.map_batches(zero_contrib,
-                                        batch_format="pyarrow"))
-            .groupby("node")
-            .aggregate(Sum("c"))
-            .map_batches(
-                stable_rename(["node", "in_sum"],
-                              [pa.string(), pa.int64()]),
-                batch_format="pyarrow",
-            )
-        )
+        # dangling mass: one scalar to the driver per round (None: no sinks)
+        share = int(ranks.filter(expr="outdeg == 0").sum("r") or 0) // n
 
         def rebase(batch: pa.Table, share=share) -> pa.Table:
-            s = np.asarray(batch.column("in_sum"), dtype=np.int64)
+            if batch.num_columns == 0:
+                return out_schema.empty_table()
+            s = np.asarray(batch.column("sum(c)"), dtype=np.int64)
             newr = base + (PR_DAMP_NUM * (s + share)) // PR_DAMP_DEN
-            return pa.table({"node": batch.column("node"),
-                             "r": pa.array(newr, pa.int64())})
+            return pa.table([batch.column("node"), batch.column("sum(outdeg)"),
+                             pa.array(newr, pa.int64())], schema=out_schema)
 
-        ranks = in_sums.map_batches(
-            rebase, batch_format="pyarrow"
-        ).materialize()
+        ranks = (
+            edges.join(ranks, join_type="inner", num_partitions=parts,
+                       on=("src",), right_on=("node",))
+            .map_batches(contrib, batch_format="pyarrow")
+            .union(ranks.map_batches(own_row, batch_format="pyarrow"))
+            .groupby("node", num_partitions=parts)
+            .aggregate(Sum("c"), Sum("outdeg"))
+            .map_batches(rebase, batch_format="pyarrow")
+            .materialize()
+        )
     return ranks
 
 

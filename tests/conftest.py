@@ -89,3 +89,8 @@ def assert_matches_oracle(ray_result, sql, con):
     b = oracle_frame(con.execute(sql).fetchdf())
     pd.testing.assert_frame_equal(a, b, check_dtype=False, rtol=1e-9)
     return a
+
+
+def hamming64(a: int, b: int) -> int:
+    """Bit distance between two 64-bit simhashes (test helper)."""
+    return bin(a ^ b).count("1")

@@ -174,11 +174,11 @@ def test_dsir_resample_is_weight_proportional_subset(ray_session):
     assert abs(actual - expected) < 0.08  # md5 test is ~Bernoulli(p)
 
 
-def test_scrub_documents_transform(ray_session, fixture_dir):
+def test_scrub_documents_transform(fixture_dir):
     from spacy_crfsuite_ray.ops import clean
 
-    out = clean.scrub_documents(
-        f"{fixture_dir}/documents.parquet"
+    out = clean.scrub_batch(
+        pq.read_table(f"{fixture_dir}/documents.parquet")
     ).to_pandas().set_index("doc_id")
     # every doc survives (transform, not a filter) with all columns kept
     assert len(out) == 10

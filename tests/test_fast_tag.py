@@ -53,6 +53,36 @@ def test_fast_handles_empty_and_whitespace(model):
     assert len(out[2]) == 2
 
 
+def test_token_cache_stays_bounded_under_novel_tokens(model, corpus,
+                                                     monkeypatch):
+    """A stream of never-seen tokens (a long-lived server's traffic) clears
+    the per-token cache at its cap instead of growing it, and the tags stay
+    equal to the reference path."""
+    from spacy_crfsuite_ray.core import fast_tag
+
+    cap = 64
+    monkeypatch.setattr(fast_tag, "TOKEN_CACHE_MAX", cap)
+    rng = np.random.RandomState(7)
+    letters = list("abcdefghijklmnopqrstuvwxyz")
+    sents = []
+    for i in range(60):
+        novel = [("".join(rng.choice(letters, 8))).title() for _ in range(6)]
+        sents.append(" ".join(novel) + " " + corpus[i % len(corpus)])
+    fast = FastTagger(model)
+    got = []
+    for j in range(0, len(sents), 6):
+        got.extend(fast.tag_texts(sents[j:j + 6]))
+        assert len(fast._cache) <= cap
+    want = tag_sentences(model, RegexTokenizer(), sents)
+    assert sum(map(len, want)) > 20
+    for g, w in zip(got, want):
+        assert [(e["start"], e["end"], e["value"], e["entity"]) for e in g] \
+            == [(e["start"], e["end"], e["value"], e["entity"]) for e in w]
+        for ge, we in zip(g, w):
+            assert ge["confidence"] == pytest.approx(we["confidence"],
+                                                     abs=1e-9)
+
+
 def test_fast_marginals_match_slow(model, corpus):
     fast = FastTagger(model)
     sent = corpus[0]

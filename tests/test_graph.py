@@ -56,6 +56,18 @@ def test_pagerank_distributed_equals_driver(ray_session, monkeypatch):
     assert small_driver.equals(small_dist)
 
 
+def test_pagerank_distributed_without_sinks_equals_driver(ray_session,
+                                                          monkeypatch):
+    """A 3-node cycle has no sinks, so the distributed twin's dangling sum
+    runs over an empty selection; it must read as 0 mass, not fail."""
+    from spacy_crfsuite_ray.ops import graph
+
+    cycle = _edges(["a", "b", "c"], ["b", "c", "a"])
+    driver = graph.pagerank_from_edges(cycle, iters=2)
+    monkeypatch.setattr(graph, "PAGERANK_DRIVER_MAX_EDGES", 0)
+    assert graph.pagerank_from_edges(cycle, iters=2).equals(driver)
+
+
 def test_degree_stats(ray_session):
     from spacy_crfsuite_ray.ops import graph
 

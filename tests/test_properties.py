@@ -8,12 +8,13 @@ from spacy_crfsuite_ray.core.html import extract_text
 from spacy_crfsuite_ray.core.sentences import split_sentences
 from spacy_crfsuite_ray.core.tokenizer import TOKEN_PATTERN, span_tokenize, word_shape
 from spacy_crfsuite_ray.functions.hashing import (
-    hamming64,
     jaccard,
     minhash_signature,
     simhash64,
 )
 from spacy_crfsuite_ray.sources.markdown import parse_item
+
+from conftest import hamming64
 
 text_strategy = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",), max_codepoint=0x2FFF),
