@@ -1755,6 +1755,13 @@ def token_budget_select(sf_dir: str,
         tie_rows, batch_format="pyarrow"
     ).materialize()
     n_ties = ties.count()
+    # budget_left <= 0 drops no doc the SQL oracle keeps. A zero-token doc
+    # is all whitespace (TOKEN_PATTERN is \w+|[^\w\s]), so its mean token
+    # length and quality_c6 are 0. A doc with a token has mean token length
+    # >= 1 (each token holds a non-whitespace char), so quality_c6 >=
+    # 0.2 * 1/8 * 1e6 = 25,000. A tie group therefore never mixes the two;
+    # a zero-token group adds 0 to cum, so it never overflows and is never
+    # s*. Every doc at s* has a token, and none fits budget_left <= 0.
     if n_ties == 0 or budget_left <= 0:
         return selected
     bucket_size = max(_bucket_floor, math.ceil(n_ties / SEQ_PACK_BUCKET_CAP))

@@ -13,16 +13,21 @@ Phase 1 (per input shard, resumable): pages parquet → extract_text →
 
 Phase 2 (global, cheap by construction): every input is ALREADY reduced —
   surface counts are unique (type, norm) rows, raw triples are ~2 orders of
-  magnitude smaller than sentences. linking (minhash-band groupby over unique
-  surfaces → broadcast mapping) → canonical triples → nodes/edges with
-  deterministic content-hash ids → partitioned parquet + manifests.
+  magnitude smaller than sentences. linking → canonical triples →
+  nodes/edges with deterministic content-hash ids → partitioned parquet +
+  manifests. One decision from parquet footer row counts picks one of two
+  paths (``DRIVER_MERGE_MAX_ROWS``): the driver path links on the driver and
+  broadcasts the mapping; the join path keeps the mapping a Dataset
+  (minhash-band groupby over unique surfaces, then (type, norm) hash-joins).
+  Each phase-2 manifest records which path ran.
 
-Scale notes: the only all-to-all exchanges are the (type, norm) surface
-groupby (over UNIQUE surfaces, pre-aggregated per batch in phase 1), the
-band-key groupby (unique surfaces × 8 bands), and the node/edge dedup
-groupbys (over already-combined keys). Raw sentence/mention traffic never
-shuffles, and phase 2's volume is independent of page count except for the
-triples themselves.
+Scale notes: on the join path the only all-to-all exchanges are the
+(type, norm) surface groupby (over UNIQUE surfaces, pre-aggregated per batch
+in phase 1), the band-key groupby (unique surfaces × 8 bands), the
+(type, norm) mapping hash-joins, and the node/edge dedup groupbys (over
+already-combined keys). Raw sentence/mention traffic never shuffles, and
+phase 2's volume is independent of page count except for the triples
+themselves.
 """
 
 from __future__ import annotations
@@ -48,12 +53,7 @@ from ..stages.graph import (
     read_manifests,
     write_manifest,
 )
-from ..stages.link import (
-    ApplyCanonicalToTriples,
-    explode_band_keys,
-    flatten_chains,
-    resolve_block_group,
-)
+from ..stages.link import explode_band_keys, resolve_block_group
 from ..stages.relations import derive_union_batch
 from ..stages.tag import tag_batch
 from ..state.model import ensure_default_model, model_digest
@@ -159,23 +159,32 @@ def _kind_files(out_dir: str, kind: str) -> List[str]:
     return files
 
 
-# Below this many surface-count rows, phase 2's linking/nodes run on the
-# driver (they fit trivially); above it, the distributed banded-groupby path
-# runs. Both produce identical mappings (tests/test_pipeline.py).
+# Phase 2 picks one of two paths, once, from parquet footer row counts. When
+# both the surface-count rows and the raw triples number at most this many,
+# the driver path runs: linking and nodes on the driver, the mapping
+# broadcast to the canonicalize tasks, the edge dedup one driver group_by.
+# Above it the join path runs: nothing is collected or broadcast, linking is
+# the banded groupby, canonicalization and nodes are (type, norm) hash-joins
+# against the mapping Dataset, and edges are distributed groupbys, so no step
+# grows with the corpus on the driver or in worker heaps. The two paths'
+# outputs are byte-equal (tests/test_large_paths.py).
 DRIVER_MERGE_MAX_ROWS = 5_000_000
-# Above this many UNIQUE surfaces the surface->canonical mapping is never
-# collected or broadcast: it stays a Dataset, the chain flatten runs as a
-# mapping self-join, and canonicalization is a (type, norm) hash-join against
-# triples and surfaces. Nothing in phase 2 then grows with corpus vocabulary
-# on the driver or in worker heaps. Join path == broadcast path byte-for-byte
-# (tests/test_large_paths.py).
-MAPPING_BROADCAST_MAX_ROWS = 5_000_000
+
+_SURF_COLS = ["type", "norm", "cnt"]
+_TRIPLE_COLS = ["subj", "pred", "obj", "subj_type", "obj_type", "url",
+                "confidence"]
 
 
-def _mapping_ds_raw(surf: "rd.Dataset") -> "rd.Dataset":
+def build_canonical_mapping_ds(
+    surf: "rd.Dataset", num_partitions: int
+) -> "rd.Dataset":
     """unique surfaces -> per-(type, norm) min-canonical mapping rows via the
-    banded-LSH shuffle (shared by the broadcast and join flatten paths)."""
-    return (
+    banded-LSH shuffle, then the one-step chain flatten (a->b->c) as a
+    mapping SELF-JOIN on (type, canonical) = (type, norm) — no
+    vocabulary-sized collect or broadcast anywhere. Returns a materialized
+    (type, norm, canonical) Dataset keyed for the downstream
+    canonicalization joins."""
+    m = (
         surf.map_batches(explode_band_keys, batch_format="pyarrow")
         .groupby(["type", "band"])
         .map_groups(resolve_block_group, batch_format="pandas")
@@ -185,25 +194,7 @@ def _mapping_ds_raw(surf: "rd.Dataset") -> "rd.Dataset":
             stable_rename(["type", "norm", "canonical"], [pa.string()] * 3),
             batch_format="pyarrow",
         )
-    )
-
-
-def build_canonical_mapping(surf: "rd.Dataset"):
-    """unique surfaces -> {(type, norm): canonical} via the banded-LSH
-    shuffle + driver-side chain flattening (the broadcast path, used below
-    ``MAPPING_BROADCAST_MAX_ROWS`` unique surfaces)."""
-    return flatten_chains(_mapping_ds_raw(surf).to_pandas())
-
-
-def build_canonical_mapping_ds(
-    surf: "rd.Dataset", num_partitions: int
-) -> "rd.Dataset":
-    """Distributed twin of ``build_canonical_mapping``: the one-step chain
-    flatten (a->b->c) runs as a mapping SELF-JOIN on (type, canonical) =
-    (type, norm) instead of a driver dict — no vocabulary-sized collect or
-    broadcast anywhere. Returns a materialized (type, norm, canonical)
-    Dataset keyed for the downstream canonicalization joins."""
-    m = _mapping_ds_raw(surf).materialize()
+    ).materialize()
     right = m.map_batches(
         lambda b: pa.table(
             {
@@ -259,8 +250,8 @@ def canonicalize_triples_joined(
     mapping Dataset against the triples on each side (subj, obj) — the same
     co-partitioned pattern as ops/dedup.py ``_verify_pairs_joined``. A
     surface missing from the mapping falls back to its normalized form,
-    exactly like the broadcast stage (stages/link.py). Output columns match
-    the broadcast path's order."""
+    exactly like the driver path's broadcast stage (stages/link.py). Output
+    columns match the driver path's order."""
     from ..stages.link import node_ids_col, normalized_col
 
     def add_norms(b: pa.Table) -> pa.Table:
@@ -315,6 +306,18 @@ def canonicalize_triples_joined(
     return t.map_batches(finish, batch_format="pyarrow")
 
 
+def _write_empty_triples(triples_shard: str) -> None:
+    """No relations found anywhere: still emit a schema-stable output."""
+    os.makedirs(triples_shard, exist_ok=True)
+    empty = pa.Table.from_pylist([], schema=pa.schema(
+        [(c, pa.string()) for c in _TRIPLE_COLS[:-1]]
+        + [("confidence", pa.float64()),
+           ("subj_canonical", pa.string()), ("obj_canonical", pa.string()),
+           ("subj_id", pa.string()), ("obj_id", pa.string())]
+    ))
+    pq.write_table(empty, os.path.join(triples_shard, "part-0.parquet"))
+
+
 def run_phase2(out_dir: str, force: bool = False) -> Dict:
     """raw triples + surface counts -> linking -> canonical triples,
     nodes, edges. Idempotent: valid manifests short-circuit."""
@@ -333,324 +336,268 @@ def run_phase2(out_dir: str, force: bool = False) -> Dict:
         }
     for d in dirs.values():
         shutil.rmtree(os.path.join(d, "shard=all"), ignore_errors=True)
-    t0 = time.time()
 
-    # --- surfaces -> canonical mapping. Surface counts are pre-aggregated per
-    # batch in phase 1 ("s" rows of the union output), so their total volume
-    # ~ unique surfaces x batches; below DRIVER_MERGE_MAX_ROWS the merge +
-    # linking runs on the driver (no Ray executions); above it the
-    # distributed banded path runs, and above MAPPING_BROADCAST_MAX_ROWS the
-    # mapping additionally stays a Dataset end-to-end (join path).
+    # The one path decision. Surface counts are pre-aggregated per batch in
+    # phase 1 ("s" rows of the union output), so their volume ~ unique
+    # surfaces x batches; partition pruning makes both counts cheap footer
+    # reads of the kind=s and kind=t files alone.
     surf_files = _kind_files(out_dir, "s")
     triple_files = _kind_files(out_dir, "t")
-    surf_cols = ["type", "norm", "cnt"]
-    # Partition pruning makes the decision cheap: metadata row counts of the
-    # kind=s files alone.
     surf_rows = sum(pq.read_metadata(f).num_rows for f in surf_files)
-    small = surf_rows <= DRIVER_MERGE_MAX_ROWS
-    surf_tbl = None
-    surf_ds = None
-    mapping = None
-    mapping_ds = None
-    if small and surf_files:
-        from concurrent.futures import ThreadPoolExecutor
+    t_rows = sum(pq.read_metadata(f).num_rows for f in triple_files)
+    small = surf_rows <= DRIVER_MERGE_MAX_ROWS and t_rows <= DRIVER_MERGE_MAX_ROWS
+    path = "driver" if small else "join"
 
+    def manifest(name: str, rows_out: int, since: float) -> None:
+        write_manifest(dirs[name], "all", input_refs=refs, rows_out=rows_out,
+                       wall_s=time.time() - since, extra={"path": path})
+
+    phase2 = _phase2_driver if small else _phase2_join
+    n_unique = phase2(surf_files, triple_files, t_rows, dirs, manifest)
+    return {
+        "triples_dir": dirs["triples"],
+        "edges_dir": dirs["edges"],
+        "nodes_dir": dirs["nodes"],
+        "n_unique_surfaces": n_unique,
+    }
+
+
+def _phase2_driver(surf_files: List[str], triple_files: List[str],
+                   t_rows: int, dirs: Dict, manifest) -> int:
+    """Phase 2 with linking and nodes on the driver (no Ray executions) and
+    the mapping broadcast to the canonicalize tasks. Canonicalization maps
+    triples 1:1, so the triples manifest records ``t_rows``. Returns the
+    number of unique surfaces."""
+    import threading
+    from collections import Counter
+    from concurrent.futures import ThreadPoolExecutor
+
+    from ..core.linking import mapping_from_surfaces
+
+    t0 = time.time()
+    if surf_files:
         with ThreadPoolExecutor(8) as pool:  # pq reads release the GIL
             surf_parts = list(pool.map(
-                lambda f: pq.read_table(f, columns=surf_cols), surf_files
+                lambda f: pq.read_table(f, columns=_SURF_COLS), surf_files
             ))
         surf_tbl = (
             pa.concat_tables(surf_parts)
             .group_by(["type", "norm"])
             .aggregate([("cnt", "sum")])
-            .rename_columns(["type", "norm", "cnt"])
+            .rename_columns(_SURF_COLS)
         )
-    if surf_tbl is None and small:  # no mentions at all (e.g. lang filter)
+    else:  # no mentions at all (e.g. lang filter)
         surf_tbl = pa.table(
             {"type": pa.array([], pa.string()),
              "norm": pa.array([], pa.string()),
              "cnt": pa.array([], pa.int64())}
         )
-    if small:
-        from ..core.linking import mapping_from_surfaces
 
-        mapping = mapping_from_surfaces(
-            zip(
-                surf_tbl.column("type").to_pylist(),
-                surf_tbl.column("norm").to_pylist(),
-                surf_tbl.column("cnt").to_pylist(),
-            )
+    def surfaces():
+        return zip(
+            surf_tbl.column("type").to_pylist(),
+            surf_tbl.column("norm").to_pylist(),
+            surf_tbl.column("cnt").to_pylist(),
         )
-    else:
-        surf_ds = (
-            rd.read_parquet(surf_files, columns=surf_cols)
-            .groupby(["type", "norm"])
-            .sum("cnt")
-            .map_batches(
-                stable_rename(["type", "norm", "cnt"],
-                              [pa.string(), pa.string(), pa.int64()]),
-                batch_format="pyarrow",
-            )
-        ).materialize()
-        n_unique = surf_ds.count()
-        if n_unique <= MAPPING_BROADCAST_MAX_ROWS:
-            mapping = build_canonical_mapping(surf_ds)
-        else:
-            from ..functions.cluster import join_partitions
 
-            mapping_parts = join_partitions(rows=n_unique)
-            mapping_ds = build_canonical_mapping_ds(surf_ds, mapping_parts)
-    use_join = mapping_ds is not None
-    mapping_ref = ray.put(mapping) if not use_join else None
+    mapping = mapping_from_surfaces(surfaces())
+    mapping_ref = ray.put(mapping)
 
     # --- mapping artifact: the surface→canonical linking table, written as
     # partitioned parquet lineage output (unique surfaces — small relative
     # to the corpus). Downstream audits and the kg_nodes SQL oracle
     # recompute n_mentions from the tagged checkpoint through this table.
     tm = time.time()
+    items = sorted(mapping.items())
+    mtbl = pa.table(
+        {
+            "type": pa.array([k[0] for k, _ in items], pa.string()),
+            "norm": pa.array([k[1] for k, _ in items], pa.string()),
+            "canonical": pa.array([v for _, v in items], pa.string()),
+        }
+    )
     mapping_shard = os.path.join(dirs["mapping"], "shard=all")
-    if use_join:
-        mapping_ds.write_parquet(mapping_shard)
-        n_mapping = -1
-    else:
-        items = sorted(mapping.items())
-        mtbl = pa.table(
-            {
-                "type": pa.array([k[0] for k, _ in items], pa.string()),
-                "norm": pa.array([k[1] for k, _ in items], pa.string()),
-                "canonical": pa.array([v for _, v in items], pa.string()),
-            }
-        )
-        os.makedirs(mapping_shard, exist_ok=True)
-        pq.write_table(mtbl, os.path.join(mapping_shard, "part-0.parquet"))
-        n_mapping = mtbl.num_rows
-    write_manifest(dirs["mapping"], "all", input_refs=refs,
-                   rows_out=n_mapping, wall_s=time.time() - tm)
+    os.makedirs(mapping_shard, exist_ok=True)
+    pq.write_table(mtbl, os.path.join(mapping_shard, "part-0.parquet"))
+    manifest("mapping", mtbl.num_rows, tm)
 
-    # --- canonical triples. Broadcast path: task-based rewrite against the
-    # object-store mapping. Join path: mapping Dataset hash-joined on
-    # (type, norm). Below the driver-merge threshold the rewritten dataset is
-    # MATERIALIZED once and feeds both the parquet write and the edges pass
-    # from the object store (no disk round-trip); above it, it streams
-    # straight to parquet and edges re-read the written shard.
+    # --- canonical triples: task-based rewrite against the object-store
+    # mapping, MATERIALIZED once; it feeds both the parquet write and the
+    # edges pass from the object store (no disk round-trip).
     triples_shard = os.path.join(dirs["triples"], "shard=all")
-    t_rows = sum(pq.read_metadata(f).num_rows for f in triple_files)
+    triples_write = None
     if triple_files:
-        raw_triples = rd.read_parquet(
-            triple_files,
-            columns=["subj", "pred", "obj", "subj_type", "obj_type", "url",
-                     "confidence"],
-        )
-        if use_join:
-            from ..functions.cluster import join_partitions
+        ct = rd.read_parquet(triple_files, columns=_TRIPLE_COLS).map_batches(
+            make_canonical_apply(mapping_ref), batch_format="pyarrow"
+        ).materialize()
 
-            ct = canonicalize_triples_joined(
-                raw_triples, mapping_ds,
-                join_partitions(rows=max(t_rows, 1)),
-            )
-        else:
-            ct = raw_triples.map_batches(
-                make_canonical_apply(mapping_ref), batch_format="pyarrow"
-            )
-        if t_rows <= DRIVER_MERGE_MAX_ROWS:
-            import threading
+        # the edges pass reads the MATERIALIZED dataset, not the parquet —
+        # so the triples write proceeds on a side thread and joins before
+        # its manifest is recorded (see below). The thread captures any
+        # write failure so the join RE-RAISES it — a manifest must never be
+        # recorded over a failed/partial write.
+        class _WriteThread(threading.Thread):
+            def run(self):
+                self.error = None
+                try:
+                    ct.write_parquet(triples_shard)
+                except BaseException as exc:  # re-raised at join
+                    self.error = exc
 
-            ct = ct.materialize()
+            def join_checked(self):
+                self.join()
+                if self.error is not None:
+                    raise self.error
 
-            # the edges/nodes passes read the MATERIALIZED dataset, not the
-            # parquet — so the triples write proceeds on a side thread and
-            # joins before its manifest is recorded (see below). The thread
-            # captures any write failure so the join RE-RAISES it — a
-            # manifest must never be recorded over a failed/partial write.
-            class _WriteThread(threading.Thread):
-                def run(self):
-                    self.error = None
-                    try:
-                        ct.write_parquet(triples_shard)
-                    except BaseException as exc:  # re-raised at join
-                        self.error = exc
+        triples_write = _WriteThread()
+        triples_write.start()
+    else:
+        _write_empty_triples(triples_shard)
+        ct = rd.read_parquet(triples_shard)
 
-                def join_checked(self):
-                    self.join()
-                    if self.error is not None:
-                        raise self.error
-
-            triples_write = _WriteThread()
-            triples_write.start()
-            canonical_triples = ct
-        else:
-            triples_write = None
-            ct.write_parquet(triples_shard)
-            canonical_triples = rd.read_parquet(triples_shard)
-    else:  # no relations found anywhere: still emit a schema-stable output
-        os.makedirs(triples_shard, exist_ok=True)
-        empty = pa.Table.from_pylist([], schema=pa.schema(
-            [(c, pa.string()) for c in
-             ("subj", "pred", "obj", "subj_type", "obj_type", "url")]
-            + [("confidence", pa.float64()),
-               ("subj_canonical", pa.string()), ("obj_canonical", pa.string()),
-               ("subj_id", pa.string()), ("obj_id", pa.string())]
-        ))
-        pq.write_table(empty, os.path.join(triples_shard, "part-0.parquet"))
-        canonical_triples = rd.read_parquet(triples_shard)
-        triples_write = None
-    n_triples = canonical_triples.count() if triple_files else 0
-
-    def _finish_triples():
-        """Join the overlapped write (if any) and record the manifest —
-        called after the edges pass so the write streams concurrently.
+    def finish_triples():
+        """Join the overlapped write (if any) and record the manifest.
         A failed write re-raises here, BEFORE the manifest exists."""
         if triples_write is not None:
             triples_write.join_checked()
-        write_manifest(dirs["triples"], "all", input_refs=refs,
-                       rows_out=n_triples,
-                       wall_s=time.time() - t0)
+        manifest("triples", t_rows, t0)
 
-    if triples_write is None:
-        _finish_triples()
-        edges_needs_finish = False
-    else:
-        edges_needs_finish = True
-
-    # --- edges pass. Runs under try/finally: the overlapped triples write
-    # (if any) must ALWAYS be joined — an edges failure must not leave the
-    # write thread orphaned mid-flight or lose its error silently; only
-    # SECONDARY errors from the join are suppressed while a primary edges
-    # error propagates.
-    edges_err = None
+    # --- edges pass, while the triples write streams. The write must
+    # ALWAYS be joined: an edges failure must not leave the write thread
+    # orphaned mid-flight; only SECONDARY errors from the join are
+    # suppressed while the primary edges error propagates.
+    t1 = time.time()
     try:
-        _edges_pass(canonical_triples, dirs, n_triples, refs)
-    except BaseException as exc:
-        edges_err = exc
+        _edges_pass(ct, dirs["edges"], small=True)
+        manifest("edges", -1, t1)
+    except BaseException:
+        try:
+            finish_triples()
+        except BaseException:
+            pass
         raise
-    finally:
-        if edges_needs_finish:
-            if edges_err is None:
-                _finish_triples()
-            else:
-                try:
-                    _finish_triples()
-                except BaseException:
-                    pass
+    finish_triples()
 
     # --- nodes: from unique surfaces + mapping (no second mention pass)
     t2 = time.time()
-    if small:
-        from collections import Counter
+    node_counts: Counter = Counter()
+    for type_, norm, cnt in surfaces():
+        canon = mapping.get((type_, norm), norm)
+        node_counts[(_node_id(canon, type_), canon, type_)] += cnt
+    nodes_tbl = pa.table(
+        {
+            "node_id": pa.array([k[0] for k in node_counts], pa.string()),
+            "canonical": pa.array([k[1] for k in node_counts], pa.string()),
+            "type": pa.array([k[2] for k in node_counts], pa.string()),
+            "n_mentions": pa.array(list(node_counts.values()), pa.int64()),
+        }
+    )
+    nodes_shard = os.path.join(dirs["nodes"], "shard=all")
+    os.makedirs(nodes_shard, exist_ok=True)
+    pq.write_table(nodes_tbl, os.path.join(nodes_shard, "part-0.parquet"))
+    manifest("nodes", -1, t2)
+    return surf_tbl.num_rows
 
-        node_counts: Counter = Counter()
-        for type_, norm, cnt in zip(
-            surf_tbl.column("type").to_pylist(),
-            surf_tbl.column("norm").to_pylist(),
-            surf_tbl.column("cnt").to_pylist(),
-        ):
-            canon = mapping.get((type_, norm), norm)
-            node_counts[(_node_id(canon, type_), canon, type_)] += cnt
-        nodes_tbl = pa.table(
+
+def _phase2_join(surf_files: List[str], triple_files: List[str],
+                 t_rows: int, dirs: Dict, manifest) -> int:
+    """Phase 2 with nothing collected or broadcast: the mapping stays a
+    Dataset and every step is a Ray shuffle or hash-join. Returns the number
+    of unique surfaces."""
+    from ..functions.cluster import join_partitions
+    from ..stages.link import node_ids_col
+
+    t0 = time.time()
+    surf_ds = (
+        rd.read_parquet(surf_files, columns=_SURF_COLS)
+        .groupby(["type", "norm"])
+        .sum("cnt")
+        .map_batches(
+            stable_rename(_SURF_COLS, [pa.string(), pa.string(), pa.int64()]),
+            batch_format="pyarrow",
+        )
+    ).materialize()
+    n_unique = surf_ds.count()
+    mapping_ds = build_canonical_mapping_ds(
+        surf_ds, join_partitions(rows=n_unique)
+    )
+    tm = time.time()
+    mapping_ds.write_parquet(os.path.join(dirs["mapping"], "shard=all"))
+    manifest("mapping", n_unique, tm)  # one mapping row per unique surface
+
+    # --- canonical triples: streamed straight to parquet; edges re-read it
+    triples_shard = os.path.join(dirs["triples"], "shard=all")
+    if t_rows:
+        canonicalize_triples_joined(
+            rd.read_parquet(triple_files, columns=_TRIPLE_COLS), mapping_ds,
+            join_partitions(rows=t_rows),
+        ).write_parquet(triples_shard)
+    else:
+        _write_empty_triples(triples_shard)
+    manifest("triples", t_rows, t0)
+
+    # Ray writes no file for an empty Dataset, so with no triples the edges
+    # come from the driver group_by as a schema-stable empty table
+    t1 = time.time()
+    _edges_pass(rd.read_parquet(triples_shard), dirs["edges"],
+                small=not t_rows)
+    manifest("edges", -1, t1)
+
+    # --- nodes: unique surfaces ⋈ mapping on (type, norm)
+    t2 = time.time()
+    m_nodes = mapping_ds.map_batches(
+        lambda b: pa.table(
+            {"type": b.column("type"), "norm": b.column("norm"),
+             "m_canonical": b.column("canonical")}
+        ),
+        batch_format="pyarrow",
+    )
+    joined = surf_ds.join(
+        m_nodes, join_type="left_outer",
+        num_partitions=join_partitions(rows=n_unique),
+        on=("type", "norm"),
+    )
+
+    def node_rows(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        canon = pc.coalesce(batch.column("m_canonical"), batch.column("norm"))
+        return pa.table(
             {
-                "node_id": pa.array([k[0] for k in node_counts], pa.string()),
-                "canonical": pa.array([k[1] for k in node_counts], pa.string()),
-                "type": pa.array([k[2] for k in node_counts], pa.string()),
-                "n_mentions": pa.array(list(node_counts.values()), pa.int64()),
+                "node_id": node_ids_col(canon, batch.column("type")),
+                "canonical": canon,
+                "type": batch.column("type"),
+                "cnt": batch.column("cnt"),
             }
         )
-        nodes_shard = os.path.join(dirs["nodes"], "shard=all")
-        os.makedirs(nodes_shard, exist_ok=True)
-        pq.write_table(nodes_tbl, os.path.join(nodes_shard, "part-0.parquet"))
-    else:
-        if use_join:
-            from ..functions.cluster import join_partitions
-            from ..stages.link import node_ids_col
 
-            m_nodes = mapping_ds.map_batches(
-                lambda b: pa.table(
-                    {"type": b.column("type"), "norm": b.column("norm"),
-                     "m_canonical": b.column("canonical")}
-                ),
-                batch_format="pyarrow",
-            )
-            joined = surf_ds.join(
-                m_nodes, join_type="left_outer",
-                num_partitions=join_partitions(rows=n_unique),
-                on=("type", "norm"),
-            )
-
-            def node_rows(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                canon = pc.coalesce(
-                    batch.column("m_canonical"), batch.column("norm")
-                )
-                return pa.table(
-                    {
-                        "node_id": node_ids_col(canon, batch.column("type")),
-                        "canonical": canon,
-                        "type": batch.column("type"),
-                        "cnt": batch.column("cnt"),
-                    }
-                )
-
-            node_src = joined
-        else:
-            def node_rows(batch: pa.Table) -> pa.Table:
-                ids, canons, types, cnts = [], [], [], []
-                for type_, norm, cnt in zip(
-                    batch.column("type").to_pylist(),
-                    batch.column("norm").to_pylist(),
-                    batch.column("cnt").to_pylist(),
-                ):
-                    canon = mapping.get((type_, norm), norm)
-                    ids.append(_node_id(canon, type_))
-                    canons.append(canon)
-                    types.append(type_)
-                    cnts.append(cnt)
-                return pa.table(
-                    {
-                        "node_id": pa.array(ids, pa.string()),
-                        "canonical": pa.array(canons, pa.string()),
-                        "type": pa.array(types, pa.string()),
-                        "cnt": pa.array(cnts, pa.int64()),
-                    }
-                )
-
-            node_src = surf_ds
-
-        nodes = (
-            node_src.map_batches(node_rows, batch_format="pyarrow")
-            .groupby(["node_id", "canonical", "type"])
-            .sum("cnt")
-            .map_batches(
-                stable_rename(["node_id", "canonical", "type", "n_mentions"],
-                              [pa.string()] * 3 + [pa.int64()]),
-                batch_format="pyarrow",
-            )
+    (
+        joined.map_batches(node_rows, batch_format="pyarrow")
+        .groupby(["node_id", "canonical", "type"])
+        .sum("cnt")
+        .map_batches(
+            stable_rename(["node_id", "canonical", "type", "n_mentions"],
+                          [pa.string()] * 3 + [pa.int64()]),
+            batch_format="pyarrow",
         )
-        nodes.write_parquet(os.path.join(dirs["nodes"], "shard=all"))
-    write_manifest(dirs["nodes"], "all", input_refs=refs,
-                   rows_out=-1, wall_s=time.time() - t2)
-
-    return {
-        "triples_dir": dirs["triples"],
-        "edges_dir": dirs["edges"],
-        "nodes_dir": dirs["nodes"],
-        "n_unique_surfaces": (surf_tbl.num_rows if small else surf_ds.count()),
-    }
+    ).write_parquet(os.path.join(dirs["nodes"], "shard=all"))
+    manifest("nodes", -1, t2)
+    return n_unique
 
 
-def _edges_pass(canonical_triples: "rd.Dataset", dirs: Dict,
-                n_triples: int, refs: List[str]) -> None:
+def _edges_pass(canonical_triples: "rd.Dataset", edges_dir: str,
+                small: bool) -> None:
     """Edges: map side runs distributed (edge-id derivation); the final
-    dedup/count is ONE driver-side pyarrow group_by with count_distinct
-    below the threshold (observations ~ triples — tens of MB), else the
+    dedup/count is ONE driver-side pyarrow group_by with count_distinct on
+    the driver path (observations ~ triples — tens of MB), else the
     distributed combiner + two-stage groupby. (Measured: a per-batch
     (edge, url) dedup combiner removes ~0 rows on this workload — one URL
-    rarely repeats an edge — so the small path skips it entirely.)"""
-    t1 = time.time()
+    rarely repeats an edge — so the driver path skips it entirely.)"""
     obs = canonical_triples.select_columns(
         ["subj_id", "pred", "obj_id", "url", "confidence"]
     ).map_batches(edge_key_batch, batch_format="pyarrow")
 
-    if n_triples <= DRIVER_MERGE_MAX_ROWS:
+    if small:
         # batch_size=None yields whole blocks: the default 4096-row
         # re-batching cost 7.2 s on this pull (4.1M rows) vs 0.18 s for
         # block-sized batches — it was the single biggest serial-tail item
@@ -674,51 +621,49 @@ def _edges_pass(canonical_triples: "rd.Dataset", dirs: Dict,
                  "confidence"]
             )
         )
-        edges_shard = os.path.join(dirs["edges"], "shard=all")
+        edges_shard = os.path.join(edges_dir, "shard=all")
         os.makedirs(edges_shard, exist_ok=True)
         pq.write_table(edges_tbl, os.path.join(edges_shard, "part-0.parquet"))
-    else:
-        from ray.data.aggregate import Max, Sum
+        return
 
-        obs = obs.map_batches(edge_observation_combiner,
-                              batch_format="pyarrow")
+    from ray.data.aggregate import Max, Sum
 
-        def partial_edge_counts(batch: pa.Table) -> pa.Table:
-            return (
-                batch.group_by(["edge_id", "subj_id", "pred", "obj_id"])
-                .aggregate([("url", "count"), ("confidence", "max")])
-                .rename_columns(
-                    ["edge_id", "subj_id", "pred", "obj_id", "n_partial",
-                     "confidence"]
-                )
-            )
+    obs = obs.map_batches(edge_observation_combiner, batch_format="pyarrow")
 
-        edges = (
-            obs.groupby(["edge_id", "subj_id", "pred", "obj_id", "url"])
-            .max("confidence")
-            .map_batches(
-                stable_rename(
-                    ["edge_id", "subj_id", "pred", "obj_id", "url",
-                     "confidence"],
-                    [pa.string()] * 5 + [pa.float64()],
-                ),
-                batch_format="pyarrow",
-            )
-            .map_batches(partial_edge_counts, batch_format="pyarrow")
-            .groupby(["edge_id", "subj_id", "pred", "obj_id"])
-            .aggregate(Sum("n_partial"), Max("confidence"))
-            .map_batches(
-                stable_rename(
-                    ["edge_id", "subj_id", "pred", "obj_id", "n_sources",
-                     "confidence"],
-                    [pa.string()] * 4 + [pa.int64(), pa.float64()],
-                ),
-                batch_format="pyarrow",
+    def partial_edge_counts(batch: pa.Table) -> pa.Table:
+        return (
+            batch.group_by(["edge_id", "subj_id", "pred", "obj_id"])
+            .aggregate([("url", "count"), ("confidence", "max")])
+            .rename_columns(
+                ["edge_id", "subj_id", "pred", "obj_id", "n_partial",
+                 "confidence"]
             )
         )
-        edges.write_parquet(os.path.join(dirs["edges"], "shard=all"))
-    write_manifest(dirs["edges"], "all", input_refs=refs,
-                   rows_out=-1, wall_s=time.time() - t1)
+
+    edges = (
+        obs.groupby(["edge_id", "subj_id", "pred", "obj_id", "url"])
+        .max("confidence")
+        .map_batches(
+            stable_rename(
+                ["edge_id", "subj_id", "pred", "obj_id", "url",
+                 "confidence"],
+                [pa.string()] * 5 + [pa.float64()],
+            ),
+            batch_format="pyarrow",
+        )
+        .map_batches(partial_edge_counts, batch_format="pyarrow")
+        .groupby(["edge_id", "subj_id", "pred", "obj_id"])
+        .aggregate(Sum("n_partial"), Max("confidence"))
+        .map_batches(
+            stable_rename(
+                ["edge_id", "subj_id", "pred", "obj_id", "n_sources",
+                 "confidence"],
+                [pa.string()] * 4 + [pa.int64(), pa.float64()],
+            ),
+            batch_format="pyarrow",
+        )
+    )
+    edges.write_parquet(os.path.join(edges_dir, "shard=all"))
 
 
 def run_kg_pipeline(

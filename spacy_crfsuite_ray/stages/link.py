@@ -10,19 +10,18 @@ keyed by a minhash band, so its size is the number of near-duplicate surfaces,
 not the number of mentions.
 
 The final surface→canonical mapping is small relative to the corpus (unique
-normalized surfaces). Below ``pipelines/kg.py:MAPPING_BROADCAST_MAX_ROWS`` it
-is collected to the driver, chain-flattened, and BROADCAST via ``ray.put`` —
-read once per actor, never re-shipped per batch. ABOVE that threshold nothing
-is collected: the mapping stays a Dataset, the chain flatten runs as a
+normalized surfaces). Phase 2 (``pipelines/kg.py:run_phase2``) takes one of
+two paths. On the driver path the mapping is built on the driver and
+BROADCAST via ``ray.put``; ``ApplyCanonicalToTriples`` reads it once per
+worker process, never re-shipped per batch. On the join path nothing is collected: the mapping stays a
+Dataset built by the banded groupby below, the chain flatten runs as a
 mapping self-join, and canonicalization is a (type, norm)-hash join of the
 mapping against triples and surfaces (``pipelines/kg.py:
 build_canonical_mapping_ds`` / ``canonicalize_triples_joined``) — byte-equal
-to the broadcast path by test (tests/test_large_paths.py).
+to the driver path by test (tests/test_large_paths.py).
 """
 
 from __future__ import annotations
-
-from typing import Dict, Iterator, Tuple
 
 import pandas as pd
 import pyarrow as pa
@@ -136,23 +135,12 @@ def node_ids_col(canon_col, type_col) -> pa.Array:
     return pc.take(pa.array(ids, pa.string()), idx)
 
 
-def flatten_chains(mapping_df: pd.DataFrame) -> Dict[Tuple[str, str], str]:
-    """Driver-side: flatten a→b→c one step (matches oracle semantics).
-    Returns {(type, norm): canonical}."""
-    by_key = {
-        (t, n): c
-        for t, n, c in zip(
-            mapping_df["type"], mapping_df["norm"], mapping_df["canonical"]
-        )
-    }
-    return {
-        (t, n): by_key.get((t, c), c) for (t, n), c in by_key.items()
-    }
-
-
 class ApplyCanonicalToTriples:
-    """Actor-pool stage: broadcast mapping read once per actor from the
-    object store; rewrites subj/obj to canonical surfaces + surrogate ids.
+    """Driver-path canonicalize stage: rewrites subj/obj to canonical
+    surfaces + surrogate ids against the broadcast mapping. It runs in Ray
+    tasks (``pipelines/kg.py:make_canonical_apply`` memoizes it in the
+    task's UDF), and ``get_broadcast`` memoizes the mapping per worker
+    process, so the mapping is deserialized once per worker.
 
     The rewrite is dictionary-encoded: surfaces repeat heavily, so each
     batch resolves only its UNIQUE (value, type) pairs in Python and expands

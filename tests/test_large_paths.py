@@ -22,24 +22,38 @@ def _read_sorted(path, cols):
 
 
 def test_phase2_distributed_equals_driver(pages, monkeypatch, tmp_path_factory):
+    """With the gate at 0 phase 2 takes the join path (the mapping never
+    leaves the cluster); it must be byte-identical to the driver path on
+    every output table, and every phase-2 manifest records its path."""
     from spacy_crfsuite_ray.pipelines import kg
+    from spacy_crfsuite_ray.stages.graph import read_manifests
 
     files, base = pages
     out_small = os.path.join(base, "out_small")
     out_large = os.path.join(base, "out_large")
 
-    kg.run_phase1(files, out_small, shards=1)
-    kg.run_phase1(files, out_large, shards=1)
+    kg.run_phase1(files, out_small, shards=2)
+    kg.run_phase1(files, out_large, shards=2)
 
     kg.run_phase2(out_small)
     monkeypatch.setattr(kg, "DRIVER_MERGE_MAX_ROWS", 0)
     kg.run_phase2(out_large)
+
+    for out, path in ((out_small, "driver"), (out_large, "join")):
+        for d in ("mapping", "triples", "edges", "nodes"):
+            [m] = read_manifests(os.path.join(out, d))
+            assert m["path"] == path
+    # both paths record one mapping row per unique surface
+    rows = [read_manifests(os.path.join(out, "mapping"))[0]["rows_out"]
+            for out in (out_small, out_large)]
+    assert rows[0] == rows[1] > 0
 
     t_cols = ["subj", "pred", "obj", "subj_canonical", "obj_canonical",
               "subj_id", "obj_id", "url"]
     a = _read_sorted(os.path.join(out_small, "triples"), t_cols)
     b = _read_sorted(os.path.join(out_large, "triples"), t_cols)
     assert a.equals(b)
+    assert len(a) > 0
 
     n_cols = ["node_id", "canonical", "type", "n_mentions"]
     a = _read_sorted(os.path.join(out_small, "nodes"), n_cols)
@@ -108,43 +122,6 @@ def test_embedding_lsh_precision_and_recall(ray_session, monkeypatch):
     lsh = pairs(dedup.embedding_dup_pairs)
     assert lsh <= exact  # precision 1.0 (exact verification inside buckets)
     assert len(lsh) / len(exact) >= 0.9  # measured ≥0.95 at defaults
-
-
-def test_mapping_join_path_equals_broadcast(pages, monkeypatch):
-    """Above MAPPING_BROADCAST_MAX_ROWS the surface→canonical mapping stays a
-    Dataset (self-join chain flatten + (type, norm) hash-joins against
-    triples and surfaces). Forced here, it must be byte-identical to the
-    broadcast path on every output table."""
-    from spacy_crfsuite_ray.pipelines import kg
-
-    files, base = pages
-    out_bcast = os.path.join(base, "out_bcast")
-    out_join = os.path.join(base, "out_join")
-
-    kg.run_phase1(files, out_bcast, shards=2)
-    kg.run_phase1(files, out_join, shards=2)
-
-    monkeypatch.setattr(kg, "DRIVER_MERGE_MAX_ROWS", 0)
-    kg.run_phase2(out_bcast)  # distributed linking, broadcast mapping apply
-    monkeypatch.setattr(kg, "MAPPING_BROADCAST_MAX_ROWS", 0)
-    kg.run_phase2(out_join)  # mapping never leaves the cluster
-
-    t_cols = ["subj", "pred", "obj", "subj_canonical", "obj_canonical",
-              "subj_id", "obj_id", "url"]
-    a = _read_sorted(os.path.join(out_bcast, "triples"), t_cols)
-    b = _read_sorted(os.path.join(out_join, "triples"), t_cols)
-    assert a.equals(b)
-    assert len(a) > 0
-
-    n_cols = ["node_id", "canonical", "type", "n_mentions"]
-    a = _read_sorted(os.path.join(out_bcast, "nodes"), n_cols)
-    b = _read_sorted(os.path.join(out_join, "nodes"), n_cols)
-    assert a.equals(b)
-
-    e_cols = ["edge_id", "subj_id", "pred", "obj_id", "n_sources"]
-    a = _read_sorted(os.path.join(out_bcast, "edges"), e_cols)
-    b = _read_sorted(os.path.join(out_join, "edges"), e_cols)
-    assert a.equals(b)
 
 
 def test_phase1_reruns_on_inplace_input_rewrite(ray_session, tmp_path_factory):
