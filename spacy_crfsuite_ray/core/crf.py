@@ -8,16 +8,21 @@ match the reference is the *decoded spans*, not the weights (SURVEY.md §7.3).
 
 Training is batched: ``fit`` packs the encoded gold sentences once into a
 ``TrainBatch`` (length-sorted padded sub-batches of flat feature-id/weight
-arrays, token → (sentence, position) indices, gold labels and the constant
-gold transition counts). Each objective call then runs, per sub-batch, one
-fancy-index of ``W`` plus a segment reduce for the state scores, one padded
-forward-backward (``padded_alpha_beta``, shared with ``fast_tag``), one
+arrays, gold labels and the constant gold transition counts). Each
+objective call then runs, per sub-batch, one fancy-index of ``W`` plus a
+segment reduce for the state scores, the shared marginals kernel, one
 sorted-segment reduce over feature ids for the state gradient and a masked
 outer-product sum for the transition gradient. Every reduction runs in a
 fixed order, so the fitted weights (and the saved npz) are deterministic.
 The optimizer is one L-BFGS loop (``lbfgs``) shared by ``fit`` — whose
 best-dev-set selection is its ``on_step`` callback — and the data-parallel
 ``pipelines.train.fit_distributed``.
+
+The marginals kernel, ``padded_marginals``, is the one forward-backward of
+batched training and batched tagging (``fast_tag``): flat per-token state
+scores are scattered into a padded (B, Tm, L) tensor, ``padded_alpha_beta``
+runs over it, logZ is taken per sentence in one vectorized step, and the
+unary marginals are gathered back at the real tokens.
 
 Feature-dict encoding mirrors pycrfsuite's ItemSequence semantics:
 - str value        → attribute "key=value", weight 1.0
@@ -99,8 +104,7 @@ def padded_alpha_beta(S: np.ndarray, lens: np.ndarray, Tr: np.ndarray):
     (B, Tm, L) state-score tensor of sentences with lengths ``lens``, under
     transitions ``Tr``. beta is reset to 0 at each sentence end, so every
     real position holds that sentence's own values; padded positions hold
-    finite junk that callers must mask. Shared by batched tagging
-    (``fast_tag``) and batched training (``TrainBatch``)."""
+    finite junk that callers must mask."""
     B, Tm, L = S.shape
     t_shift, expT = _exp_transitions(Tr)  # keep exp() in range
 
@@ -135,6 +139,30 @@ def padded_alpha_beta(S: np.ndarray, lens: np.ndarray, Tr: np.ndarray):
     return alpha, beta
 
 
+def padded_marginals(S_tok: np.ndarray, lens: np.ndarray, Tr: np.ndarray):
+    """Unary marginals of sentences given back to back as flat (n_tok, L)
+    state scores ``S_tok`` with lengths ``lens``: scatter them into a padded
+    (B, Tm, L) tensor, run ``padded_alpha_beta``, take each sentence's logZ
+    and gather the marginals at the real tokens. Returns (marginals
+    (n_tok, L), logZ (B,), S, alpha, beta); training reads the padded
+    tensors for its pair marginals. The one kernel of batched training
+    (``_SubBatch``) and batched tagging (``fast_tag``)."""
+    B, Tm, L = lens.size, int(lens.max()), Tr.shape[0]
+    tok_b = np.repeat(np.arange(B), lens)
+    tok_pos = tok_b * Tm + np.arange(tok_b.size) - np.repeat(
+        np.cumsum(lens) - lens, lens)
+    S = np.zeros((B * Tm, L))
+    S[tok_pos] = S_tok
+    S = S.reshape(B, Tm, L)
+    alpha, beta = padded_alpha_beta(S, lens, Tr)
+    last = alpha[np.arange(B), lens - 1]
+    m = last.max(axis=1)
+    logZ = m + np.log(np.exp(last - m[:, None]).sum(axis=1))
+    marg = np.exp(alpha.reshape(-1, L)[tok_pos] + beta.reshape(-1, L)[tok_pos]
+                  - logZ[tok_b][:, None])
+    return marg, logZ, S, alpha, beta
+
+
 # Sentences per padded sub-batch, in training and in fast_tag's batched
 # tagging: bounds the (B, Tm, L) tensors, so memory does not grow with the
 # number of sentences.
@@ -143,20 +171,13 @@ SUB_BATCH = 512
 
 class _SubBatch:
     """One padded sub-batch of encoded gold sentences, as flat index arrays
-    built once per fit: feature ids/weights concatenated in token order, the
-    token → padded (sentence, position) index, gold label ids, the non-empty
-    token segments for the state-score reduce and the feature-id-sorted
-    segments for the state-gradient reduce."""
+    built once per fit: feature ids/weights concatenated in token order,
+    gold label ids, the non-empty token segments for the state-score reduce
+    and the feature-id-sorted segments for the state-gradient reduce."""
 
     def __init__(self, encs: List[EncodedSentence]):
         self.lens = np.array([len(e.ids) for e in encs], dtype=np.int64)
-        B, Tm = len(encs), int(self.lens.max())
-        self.shape = (B, Tm)
-        n_tok = int(self.lens.sum())
-        self.tok_b = np.repeat(np.arange(B), self.lens)
-        tok_t = np.arange(n_tok) - np.repeat(np.cumsum(self.lens) - self.lens,
-                                              self.lens)
-        self.tok_pos = self.tok_b * Tm + tok_t
+        n_tok, Tm = int(self.lens.sum()), int(self.lens.max())
         self.gold = np.concatenate([e.labels for e in encs])
         counts = np.array([ids.size for e in encs for ids in e.ids],
                           dtype=np.int64)
@@ -184,35 +205,23 @@ class _SubBatch:
         """Add this sub-batch's expected-minus-gold state counts into ``gW``
         and its expected transition counts into ``pair``; return
         Σ logZ − gold state score."""
-        B, Tm = self.shape
         L = Tr.shape[0]
-        n_tok = self.tok_pos.size
+        n_tok = self.gold.size
         S_tok = np.zeros((n_tok, L))
         if self.ids.size:
             rows = W.take(self.ids, axis=0)
             rows *= self.wts[:, None]  # in place: no second (nnz, L) array
             S_tok[self.nz_tok] = np.add.reduceat(rows, self.nz_starts, axis=0)
-        S = np.zeros((B * Tm, L))
-        S[self.tok_pos] = S_tok
-        S = S.reshape(B, Tm, L)
-        alpha, beta = padded_alpha_beta(S, self.lens, Tr)
-        last = alpha[np.arange(B), self.lens - 1]
-        m = last.max(axis=1)
-        logZ = m + np.log(np.exp(last - m[:, None]).sum(axis=1))
+        diff, logZ, S, alpha, beta = padded_marginals(S_tok, self.lens, Tr)
         tok = np.arange(n_tok)
         nll = float(logZ.sum()) - float(S_tok[tok, self.gold].sum())
-
-        # unary marginals, gathered at real tokens only
-        diff = np.exp(alpha.reshape(-1, L)[self.tok_pos]
-                      + beta.reshape(-1, L)[self.tok_pos]
-                      - logZ[self.tok_b][:, None])
         diff[tok, self.gold] -= 1.0
         if self.ids.size:
             rows = diff.take(self.sorted_tok, axis=0)
             rows *= self.sorted_wts[:, None]
             gW[self.uniq] += np.add.reduceat(rows, self.uniq_starts, axis=0)
 
-        if Tm > 1:
+        if S.shape[1] > 1:
             # pair marginal (b, t, i, j) = exp(alpha[t, i] + Tr[i, j]
             # + S[t + 1, j] + beta[t + 1, j] - logZ). Padded pairs are masked
             # to -inf BEFORE exp: their alpha/beta are not log-probabilities
@@ -221,7 +230,7 @@ class _SubBatch:
             V = S[:, 1:] + beta[:, 1:]
             t_shift, expT = _exp_transitions(Tr)
             if expT is None:  # exact, one (B, L, L) slice per position
-                for t in range(Tm - 1):
+                for t in range(A.shape[1]):
                     lp = A[:, t, :, None] + Tr + V[:, t, None, :]
                     lp -= logZ[:, None, None]
                     lp[~self.pair_mask[:, t]] = -np.inf

@@ -3,29 +3,37 @@ reference path (featurize → forward-backward marginals → BILOU decode,
 /root/reference/spacy_crfsuite/crf_extractor.py:148-165), restructured for
 throughput:
 
-- per-token-TEXT feature-id cache: in the default config every window feature
+- per-token-TEXT score-row cache: in the default config every window feature
   (low/title/prefix/suffix/shape/…) is a pure function of the token text, so
-  the (window-offset → vocab-id list) encoding is memoized per distinct text
-  (cleared on a miss once it holds ``TOKEN_CACHE_MAX`` entries);
-- state scores for a whole batch in 2 numpy calls (fancy-index + reduceat);
-- forward-backward vectorized over a PADDED (B, T, L) tensor, length-sorted
-  sub-batches to bound padding waste;
-- array-based BILOU decode (no per-token {label: prob} dicts).
+  for each distinct text ``FastTagger._cache`` keeps one state-score row per
+  window offset (``W[ids].sum(0)``, an (n_offsets, L) array) and the
+  matched-id count per offset (cleared on a miss once it holds
+  ``TOKEN_CACHE_MAX`` entries). No feature-id list outlives the miss that
+  built it;
+- state scores for a whole batch: one copy of the batch's cached rows, one
+  shifted, sentence-edge-masked add per window offset, and the BOS/EOS rows
+  added once wherever any offset falls outside the sentence;
+- marginals from ``crf.padded_marginals``, the forward-backward kernel that
+  training also runs, over length-sorted sub-batches of ``SUB_BATCH``
+  sentences;
+- argmax and confidence once for the whole batch, then an array-based BILOU
+  decode per sentence (no per-token {label: prob} dicts).
 
-tests/test_fast_tag.py asserts entity-level equality with the reference-
-semantics path on a large fixture corpus. Falls back to the slow path when
-the config uses pattern/dense/pos-from-input features (CoNLL pre-tokenized
-input carries external POS, which the cache cannot key on).
+Every step is per token or per sentence, so a sentence's tags do not depend
+on the batch it is tagged in. tests/test_fast_tag.py asserts entity-level
+equality with the reference-semantics path on a large fixture corpus. Falls
+back to the slow path when the config uses dense features (they need
+per-token vectors, which the cache cannot key on).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from .bilou import NO_ENTITY_TAG
-from .crf import SUB_BATCH, flatten_features, padded_alpha_beta
+from .crf import SUB_BATCH, flatten_features, padded_marginals
 from .extractor import CRFExtractor
 from .features import FUNCTION_DICT, CRFToken
 from .tokenizer import pos_of, span_tokenize, word_shape
@@ -51,24 +59,18 @@ def config_is_cacheable(features: List[List[str]]) -> bool:
 
 class FastTagger:
     def __init__(self, extractor: CRFExtractor):
-        self.extractor = extractor
-        crf = extractor.ent_tagger
-        self.crf = crf
         self.features = extractor.component_config["features"]
         self.bilou = extractor.component_config["BILOU_flag"]
         if not config_is_cacheable(self.features):
             raise ValueError("config not cacheable; use the per-sentence path")
-        self.W = crf.W
-        self.T = crf.T
-        self.labels = crf.labels
-        self.vocab = crf.vocab
+        crf = extractor.ent_tagger
+        self.W, self.T = crf.W, crf.T
+        self.labels, self.vocab = crf.labels, crf.vocab
         self.L = len(self.labels)
-        half = len(self.features) // 2
-        self.half = half
-        self.offsets = list(range(-half, half + 1))
-        self.bos_ids = self._flag_ids("BOS")
-        self.eos_ids = self._flag_ids("EOS")
-        self._cache: Dict[str, List[np.ndarray]] = {}
+        self.half = len(self.features) // 2
+        self.offsets = list(range(-self.half, self.half + 1))
+        self._cache: Dict[str, Tuple[np.ndarray, Tuple[int, ...]]] = {}
+        self._vocab_checked = False
         # confidence groups: for label j, mask of labels k with k[2:] == j[2:]
         # (reference crf_extractor.py:350-357 sum-over-entity semantics)
         suffixes = [lab[2:] for lab in self.labels]
@@ -77,138 +79,81 @@ class FastTagger:
               for k in range(self.L)] for j in range(self.L)]
         )
 
-    def _flag_ids(self, flag: str) -> List[int]:
-        idx = self.vocab.get(flag)
-        return [idx] if idx is not None else []
-
-    def _token_window_ids(self, text: str) -> List[List[int]]:
-        """For one token text: vocab-id list per window offset (plain Python
-        lists — encode concatenates with list.extend, no numpy per token)."""
-        cached = self._cache.get(text)
-        if cached is not None:
-            return cached
+    def _token_scores(self, text: str) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        """For one token text: its state-score row per window offset, an
+        (n_offsets, L) array, and the matched vocab-id count per offset."""
         token = CRFToken(text, pos_of(text), "N/A", word_shape(text), {}, [])
-        out = []
-        for off_idx, off in enumerate(self.offsets):
-            prefix = str(off)
-            fd: Dict[str, Any] = {}
-            for feature in self.features[off_idx]:
-                fd[f"{prefix}:{feature}"] = FUNCTION_DICT[feature](token)
-            ids = sorted(
-                self.vocab[name]
-                for name, _w in flatten_features(fd)
-                if name in self.vocab
-            )
-            out.append(ids)
+        rows = np.zeros((len(self.offsets), self.L))
+        counts = []
+        for k, off in enumerate(self.offsets):
+            fd = {f"{off}:{feature}": FUNCTION_DICT[feature](token)
+                  for feature in self.features[k]}
+            ids = [self.vocab[name] for name, _w in flatten_features(fd)
+                   if name in self.vocab]
+            rows[k] = self.W[ids].sum(axis=0)
+            counts.append(len(ids))
         if len(self._cache) >= TOKEN_CACHE_MAX:
             self._cache.clear()
-        self._cache[text] = out
-        return out
+        entry = self._cache[text] = (rows, tuple(counts))
+        return entry
 
-    def encode_sentence(self, texts: List[str]):
-        """Flat per-sentence encoding: (flat_ids int64 array, per-token
-        counts) — exactly the ids the generic encoder produces for the
-        default config, grouped per token by counts."""
-        n = len(texts)
-        window = [self._token_window_ids(t) for t in texts]
-        flat: List[int] = []
-        counts = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            before = len(flat)
-            bos_added = eos_added = False
-            for off_idx, off in enumerate(self.offsets):
-                j = i + off
-                if j < 0:
-                    # the generic path sets the single dict key "BOS" no
-                    # matter how many window offsets fall out of range —
-                    # add the flag id exactly once (same for EOS)
-                    if not bos_added:
-                        flat.extend(self.bos_ids)
-                        bos_added = True
-                elif j >= n:
-                    if not eos_added:
-                        flat.extend(self.eos_ids)
-                        eos_added = True
-                else:
-                    flat.extend(window[j][off_idx])
-            counts[i] = len(flat) - before
-        return np.asarray(flat, dtype=np.int64), counts
+    def _state_scores(self, tokens: List[str], lens: np.ndarray) -> np.ndarray:
+        """(n_tok, L) state scores of sentences given back to back as token
+        texts with lengths ``lens``: the same sums the generic encoder's
+        feature ids give, added per window offset."""
+        get = self._cache.get
+        entries = [get(t) or self._token_scores(t) for t in tokens]
+        rows = np.array([r for r, _ in entries])  # (n_tok, n_offsets, L)
+        n_tok = len(tokens)
+        pos = np.arange(n_tok) - np.repeat(np.cumsum(lens) - lens, lens)
+        room = np.repeat(lens, lens) - pos  # tokens from here to the end
+        counts = None if self._vocab_checked else np.array(
+            [c for _, c in entries])
+        n_ids = 0
+        S = np.zeros((n_tok, self.L))
+        for k, off in enumerate(self.offsets):
+            idx = np.flatnonzero((pos >= -off) & (room > off))
+            S[idx] += rows[idx + off, k]
+            if counts is not None:
+                n_ids += int(counts[idx + off, k].sum())
+        # the generic path sets the single dict key "BOS" no matter how many
+        # window offsets fall before the sentence: add its row exactly once
+        # (same for "EOS" after it)
+        for flag, edge in (("BOS", pos < self.half),
+                           ("EOS", room <= self.half)):
+            fid = self.vocab.get(flag)
+            if fid is not None:
+                S[edge] += self.W[fid]
+                n_ids += int(edge.sum())
+        if counts is not None:
+            self._check_vocab(n_ids, n_tok)
+        return S
 
-    # -------------------------------------------------------------- numerics
+    def _check_vocab(self, n_ids: int, n_tok: int) -> None:
+        if n_tok < 20:  # only a large-enough sample disarms the check
+            return
+        self._vocab_checked = True
+        if n_ids / n_tok < 2.0:
+            import warnings
 
-    def _state_scores_batch(self, encoded) -> List[np.ndarray]:
-        """All sentences' (T, L) state scores via ONE fancy-index +
-        reduceat over the concatenated feature ids.
-
-        ``encoded``: list of (flat_ids, per-token counts) pairs."""
-        if not encoded:
-            return []
-        flat = np.concatenate([ids for ids, _ in encoded])
-        counts = np.concatenate([c for _, c in encoded])
-        rows = self.W[flat]  # (total_feats, L)
-        offsets = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        if (counts == 0).any():
-            # reduceat mishandles zero-length segments; rare → plain loop
-            S_tok = np.zeros((len(counts), self.L))
-            pos = 0
-            for i, c in enumerate(counts):
-                if c:
-                    S_tok[i] = rows[pos:pos + c].sum(axis=0)
-                    pos += c
-        else:
-            S_tok = np.add.reduceat(rows, offsets, axis=0)
-        out = []
-        pos = 0
-        for _, c in encoded:
-            n = len(c)
-            out.append(S_tok[pos:pos + n])
-            pos += n
-        return out
-
-    def marginals_batch(self, S_list: List[np.ndarray]) -> List[np.ndarray]:
-        """Padded batched forward-backward; returns per-sentence (T, L)
-        marginal arrays. Sentences are length-sorted into sub-batches to
-        bound padding waste."""
-        order = sorted(range(len(S_list)), key=lambda i: S_list[i].shape[0])
-        results: List[Optional[np.ndarray]] = [None] * len(S_list)
-        for c0 in range(0, len(order), SUB_BATCH):
-            idxs = order[c0:c0 + SUB_BATCH]
-            results_chunk = self._marginals_padded([S_list[i] for i in idxs])
-            for i, m in zip(idxs, results_chunk):
-                results[i] = m
-        return results  # type: ignore[return-value]
-
-    def _marginals_padded(self, S_list: List[np.ndarray]) -> List[np.ndarray]:
-        B = len(S_list)
-        lens = np.array([s.shape[0] for s in S_list], dtype=np.int64)
-        Tm = int(lens.max())
-        L = self.L
-        S = np.zeros((B, Tm, L))
-        for b, sb in enumerate(S_list):
-            S[b, :sb.shape[0]] = sb
-        alpha, beta = padded_alpha_beta(S, lens, self.T)
-
-        out = []
-        for b in range(B):
-            n = int(lens[b])
-            a = alpha[b, :n]
-            z = a[-1]
-            logZ = z.max() + np.log(np.exp(z - z.max()).sum())
-            out.append(np.exp(a + beta[b, :n] - logZ))
-        return out
+            warnings.warn(
+                "Almost no features match the model vocabulary "
+                f"({n_ids / n_tok:.1f} ids/token) — the tagging config's "
+                "feature set likely differs from the one the model was "
+                "trained with; predictions will be near-uniform."
+            )
 
     # ---------------------------------------------------------------- decode
 
     def decode(
-        self, text: str, spans: List[Tuple[str, int, int]], marg: np.ndarray
+        self, text: str, spans: List[Tuple[str, int, int]], arg: List[int],
+        conf_all: List[float],
     ) -> List[Dict[str, Any]]:
-        """Array-based BILOU decode with the reference's exact confidence and
-        repair semantics (warnings are not re-emitted on this hot path)."""
+        """BILOU decode of one sentence from its tokens' argmax label ids and
+        confidences, with the reference's exact confidence and repair
+        semantics (warnings are not re-emitted on this hot path)."""
         labels = self.labels
         n = len(spans)
-        arg = np.argmax(marg, axis=1)
-        conf_all = (marg * self.conf_mask[arg]).sum(axis=1)
         ents = []
         if self.bilou:
             i = 0
@@ -217,16 +162,16 @@ class FastTagger:
                 p = lab[:2]
                 if p == "U-":
                     ents.append(self._ent(text, spans, i, i, lab[2:],
-                                          float(conf_all[i])))
+                                          conf_all[i]))
                     i += 1
                 elif p == "B-":
                     entity = lab[2:]
-                    conf = float(conf_all[i])
+                    conf = conf_all[i]
                     j = i + 1
                     end = None
                     while j < n:
                         labj = labels[arg[j]]
-                        conf = min(conf, float(conf_all[j]))
+                        conf = min(conf, conf_all[j])
                         if labj.startswith("L-"):
                             end = j
                             break
@@ -254,7 +199,7 @@ class FastTagger:
                             "end": spans[i][2],
                             "value": spans[i][0],
                             "entity": lab,
-                            "confidence": float(marg[i, arg[i]]),
+                            "confidence": conf_all[i],
                         }
                     )
         return ents
@@ -276,35 +221,34 @@ class FastTagger:
 
     def tag_texts(self, sentences: List[str]) -> List[List[Dict[str, Any]]]:
         """Batch equivalent of [extractor.process({'text': s}) for s]."""
-        spans_list = []
-        encoded = []
-        keep = []
-        for si, sent in enumerate(sentences):
-            if not sent or not sent.strip():
-                continue
-            spans = span_tokenize(sent)
-            if not spans:
-                continue
-            spans_list.append(spans)
-            encoded.append(self.encode_sentence([t for t, _, _ in spans]))
-            keep.append(si)
-        if encoded and not getattr(self, "_vocab_checked", False):
-            n_tok = sum(len(c) for _, c in encoded)
-            n_ids = sum(len(ids) for ids, _ in encoded)
-            if n_tok >= 20:  # only a large-enough sample disarms the check
-                self._vocab_checked = True
-            if n_tok >= 20 and n_ids / n_tok < 2.0:
-                import warnings
-
-                warnings.warn(
-                    "Almost no features match the model vocabulary "
-                    f"({n_ids / n_tok:.1f} ids/token) — the tagging config's "
-                    "feature set likely differs from the one the model was "
-                    "trained with; predictions will be near-uniform."
-                )
-        S_list = self._state_scores_batch(encoded)
-        marg_list = self.marginals_batch(S_list) if S_list else []
         out: List[List[Dict[str, Any]]] = [[] for _ in sentences]
-        for si, spans, marg in zip(keep, spans_list, marg_list):
-            out[si] = self.decode(sentences[si], spans, marg)
+        keep = [(si, spans) for si, spans in enumerate(
+            span_tokenize(s) if s else [] for s in sentences) if spans]
+        if not keep:
+            return out
+        lens = np.array([len(spans) for _, spans in keep], dtype=np.int64)
+        S_tok = self._state_scores(
+            [t for _, spans in keep for t, _, _ in spans], lens)
+        # length-sorted sub-batches bound the padding; ``perm`` lists the
+        # tokens sentence by sentence in that order
+        order = np.argsort(lens, kind="stable")
+        starts = np.cumsum(lens) - lens
+        sorted_lens = lens[order]
+        bounds = np.concatenate(([0], np.cumsum(sorted_lens)))
+        perm = np.arange(bounds[-1]) + np.repeat(starts[order] - bounds[:-1],
+                                                 sorted_lens)
+        marg = np.empty_like(S_tok)
+        for c in range(0, len(order), SUB_BATCH):
+            tok = perm[bounds[c]:bounds[min(c + SUB_BATCH, len(order))]]
+            marg[tok] = padded_marginals(
+                S_tok[tok], sorted_lens[c:c + SUB_BATCH], self.T)[0]
+        arg = marg.argmax(axis=1)
+        if self.bilou:  # sum over the label's entity group
+            conf = (marg * self.conf_mask[arg]).sum(axis=1)
+        else:
+            conf = marg.max(axis=1)
+        arg, conf = arg.tolist(), conf.tolist()
+        for (si, spans), t0, n in zip(keep, starts.tolist(), lens.tolist()):
+            out[si] = self.decode(sentences[si], spans, arg[t0:t0 + n],
+                                  conf[t0:t0 + n])
         return out

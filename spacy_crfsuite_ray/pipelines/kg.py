@@ -318,6 +318,13 @@ def _write_empty_triples(triples_shard: str) -> None:
     pq.write_table(empty, os.path.join(triples_shard, "part-0.parquet"))
 
 
+def _written_rows(shard_dir: str) -> int:
+    """Rows in the parquet files a write just left in ``shard_dir``, from
+    their footers (no Ray execution)."""
+    return sum(pq.read_metadata(os.path.join(shard_dir, f)).num_rows
+               for f in os.listdir(shard_dir) if f.endswith(".parquet"))
+
+
 def run_phase2(out_dir: str, force: bool = False) -> Dict:
     """raw triples + surface counts -> linking -> canonical triples,
     nodes, edges. Idempotent: valid manifests short-circuit."""
@@ -468,8 +475,7 @@ def _phase2_driver(surf_files: List[str], triple_files: List[str],
     # suppressed while the primary edges error propagates.
     t1 = time.time()
     try:
-        _edges_pass(ct, dirs["edges"], small=True)
-        manifest("edges", -1, t1)
+        manifest("edges", _edges_pass(ct, dirs["edges"], small=True), t1)
     except BaseException:
         try:
             finish_triples()
@@ -495,7 +501,7 @@ def _phase2_driver(surf_files: List[str], triple_files: List[str],
     nodes_shard = os.path.join(dirs["nodes"], "shard=all")
     os.makedirs(nodes_shard, exist_ok=True)
     pq.write_table(nodes_tbl, os.path.join(nodes_shard, "part-0.parquet"))
-    manifest("nodes", -1, t2)
+    manifest("nodes", nodes_tbl.num_rows, t2)
     return surf_tbl.num_rows
 
 
@@ -539,9 +545,8 @@ def _phase2_join(surf_files: List[str], triple_files: List[str],
     # Ray writes no file for an empty Dataset, so with no triples the edges
     # come from the driver group_by as a schema-stable empty table
     t1 = time.time()
-    _edges_pass(rd.read_parquet(triples_shard), dirs["edges"],
-                small=not t_rows)
-    manifest("edges", -1, t1)
+    manifest("edges", _edges_pass(rd.read_parquet(triples_shard),
+                                  dirs["edges"], small=not t_rows), t1)
 
     # --- nodes: unique surfaces ⋈ mapping on (type, norm)
     t2 = time.time()
@@ -571,6 +576,7 @@ def _phase2_join(surf_files: List[str], triple_files: List[str],
             }
         )
 
+    nodes_shard = os.path.join(dirs["nodes"], "shard=all")
     (
         joined.map_batches(node_rows, batch_format="pyarrow")
         .groupby(["node_id", "canonical", "type"])
@@ -580,22 +586,24 @@ def _phase2_join(surf_files: List[str], triple_files: List[str],
                           [pa.string()] * 3 + [pa.int64()]),
             batch_format="pyarrow",
         )
-    ).write_parquet(os.path.join(dirs["nodes"], "shard=all"))
-    manifest("nodes", -1, t2)
+    ).write_parquet(nodes_shard)
+    manifest("nodes", _written_rows(nodes_shard), t2)
     return n_unique
 
 
 def _edges_pass(canonical_triples: "rd.Dataset", edges_dir: str,
-                small: bool) -> None:
+                small: bool) -> int:
     """Edges: map side runs distributed (edge-id derivation); the final
     dedup/count is ONE driver-side pyarrow group_by with count_distinct on
     the driver path (observations ~ triples — tens of MB), else the
     distributed combiner + two-stage groupby. (Measured: a per-batch
     (edge, url) dedup combiner removes ~0 rows on this workload — one URL
-    rarely repeats an edge — so the driver path skips it entirely.)"""
+    rarely repeats an edge — so the driver path skips it entirely.)
+    Returns the number of edges written."""
     obs = canonical_triples.select_columns(
         ["subj_id", "pred", "obj_id", "url", "confidence"]
     ).map_batches(edge_key_batch, batch_format="pyarrow")
+    edges_shard = os.path.join(edges_dir, "shard=all")
 
     if small:
         # batch_size=None yields whole blocks: the default 4096-row
@@ -621,10 +629,9 @@ def _edges_pass(canonical_triples: "rd.Dataset", edges_dir: str,
                  "confidence"]
             )
         )
-        edges_shard = os.path.join(edges_dir, "shard=all")
         os.makedirs(edges_shard, exist_ok=True)
         pq.write_table(edges_tbl, os.path.join(edges_shard, "part-0.parquet"))
-        return
+        return edges_tbl.num_rows
 
     from ray.data.aggregate import Max, Sum
 
@@ -663,7 +670,8 @@ def _edges_pass(canonical_triples: "rd.Dataset", edges_dir: str,
             batch_format="pyarrow",
         )
     )
-    edges.write_parquet(os.path.join(edges_dir, "shard=all"))
+    edges.write_parquet(edges_shard)
+    return _written_rows(edges_shard)
 
 
 def run_kg_pipeline(

@@ -84,14 +84,14 @@ def test_token_cache_stays_bounded_under_novel_tokens(model, corpus,
 
 
 def test_fast_marginals_match_slow(model, corpus):
+    from spacy_crfsuite_ray.core.crf import padded_marginals
+    from spacy_crfsuite_ray.core.tokenizer import span_tokenize
+
     fast = FastTagger(model)
     sent = corpus[0]
-    spans = [(t, s, e) for t, s, e in
-             __import__("spacy_crfsuite_ray.core.tokenizer",
-                        fromlist=["span_tokenize"]).span_tokenize(sent)]
-    enc = fast.encode_sentence([t for t, _, _ in spans])
-    S = fast._state_scores_batch([enc])
-    marg = fast.marginals_batch(S)[0]
+    texts = [t for t, _, _ in span_tokenize(sent)]
+    lens = np.array([len(texts)])
+    marg = padded_marginals(fast._state_scores(texts, lens), lens, fast.T)[0]
     # slow path marginals
     msg = {"text": sent}
     RegexTokenizer().tokenize(msg)
@@ -102,6 +102,50 @@ def test_fast_marginals_match_slow(model, corpus):
     for t, row in enumerate(slow):
         for j, lab in enumerate(model.ent_tagger.labels):
             assert marg[t, j] == pytest.approx(row[lab], abs=1e-9)
+
+
+def test_tags_do_not_depend_on_batch_composition(model, corpus):
+    """A sentence's tags are the same bits whether it is tagged with the
+    whole corpus, in the tag stage's 128-sentence slices, alone or in
+    reversed order — the property the byte-identical triples checks rely
+    on."""
+    whole = FastTagger(model).tag_texts(corpus)
+    fast = FastTagger(model)
+    sliced = [e for j in range(0, len(corpus), 128)
+              for e in fast.tag_texts(corpus[j:j + 128])]
+    fast = FastTagger(model)
+    alone = [fast.tag_texts([s])[0] for s in corpus]
+    reverse = FastTagger(model).tag_texts(corpus[::-1])[::-1]
+    assert sum(map(len, whole)) > 300
+    assert sliced == whole
+    assert alone == whole
+    assert reverse == whole
+
+
+def test_vocabulary_mismatch_warns_once(model, corpus):
+    """A feature config that matches almost none of the model's vocabulary
+    warns once, on the first batch of at least 20 tokens; the default
+    config never warns."""
+    import warnings
+
+    from spacy_crfsuite_ray.core.extractor import CRFExtractor
+
+    def warned(fast, batches):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for batch in batches:
+                fast.tag_texts(batch)
+        return [str(w.message) for w in caught
+                if "Almost no features match" in str(w.message)]
+
+    short, batches = ["Acme Corp"], [corpus[:40], corpus[40:80]]
+    assert warned(FastTagger(model), [short] + batches) == []
+    odd = CRFExtractor({"features": [["digit"], ["digit"], ["digit"]]},
+                       ent_tagger=model.ent_tagger)
+    fast = FastTagger(odd)
+    assert warned(fast, [short]) == []  # under 20 tokens: still armed
+    assert len(warned(fast, batches)) == 1
+    assert warned(fast, batches) == []
 
 
 def _sentence_table(sents):

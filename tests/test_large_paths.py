@@ -59,11 +59,18 @@ def test_phase2_distributed_equals_driver(pages, monkeypatch, tmp_path_factory):
     a = _read_sorted(os.path.join(out_small, "nodes"), n_cols)
     b = _read_sorted(os.path.join(out_large, "nodes"), n_cols)
     assert a.equals(b)
+    n_nodes = len(a)
 
     e_cols = ["edge_id", "subj_id", "pred", "obj_id", "n_sources"]
     a = _read_sorted(os.path.join(out_small, "edges"), e_cols)
     b = _read_sorted(os.path.join(out_large, "edges"), e_cols)
     assert a.equals(b)
+
+    # both paths record the real edge and node counts in their manifests
+    for d, n in (("edges", len(a)), ("nodes", n_nodes)):
+        rows = [read_manifests(os.path.join(out, d))[0]["rows_out"]
+                for out in (out_small, out_large)]
+        assert rows[0] == rows[1] == n > 0
 
 
 def test_pairgen_distributed_equals_driver(ray_session, monkeypatch):
