@@ -264,8 +264,7 @@ def _domain_stats(sf_dir: str):
         .groupby("domain")
         .sum("one")
         .map_batches(
-            stable_rename(["domain", "n_triples_exact"],
-                          [pa.string(), pa.int64()]),
+            stable_rename(["domain", "n_triples_exact"]),
             batch_format="pyarrow",
         )
         .to_pandas()

@@ -16,13 +16,18 @@ import numpy as np
 _MINHASH_SEED = 1
 
 
+def short_sha1(key: str) -> str:
+    """16-hex-char sha1 prefix: the surrogate id of a "|"-joined key."""
+    return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
+
+
 def node_id(canonical: str, type_: str) -> str:
-    """16-hex-char surrogate id for a graph node."""
-    return hashlib.sha1(f"{canonical}|{type_}".encode("utf-8")).hexdigest()[:16]
+    """Surrogate id for a graph node."""
+    return short_sha1(f"{canonical}|{type_}")
 
 
 def edge_id(subj_id: str, pred: str, obj_id: str) -> str:
-    return hashlib.sha1(f"{subj_id}|{pred}|{obj_id}".encode("utf-8")).hexdigest()[:16]
+    return short_sha1(f"{subj_id}|{pred}|{obj_id}")
 
 
 def text_md5(text: str) -> str:

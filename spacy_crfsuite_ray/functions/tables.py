@@ -2,26 +2,33 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List
 
 import pyarrow as pa
 
 
-def stable_rename(names: List[str], types: Sequence[pa.DataType]):
+def stable_rename(names: List[str]):
     """``map_batches`` fn: rename post-groupby aggregate columns to stable
-    output names. Shuffle partitions that received no keys emit 0-COLUMN
-    empty blocks; those become typed empty tables here so the streaming
-    executor sees ONE schema end-to-end instead of warning about schema
-    drift ("new schema: .") on every empty block — noise that would bury
-    real problems at 100x block counts."""
-    schema = pa.schema(list(zip(names, types)))
+    output names. (Ray passes the 0-column empty blocks of a shuffle
+    partition that got no keys through without calling it.)"""
 
     def fn(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0:
-            return schema.empty_table()
         return batch.rename_columns(names)
 
     return fn
+
+
+def map_unique(col, fn: Callable[[str], str]) -> pa.Array:
+    """``fn`` once per UNIQUE value of a string column (values repeat
+    heavily), expanded back to every row with a vectorized take."""
+    import pyarrow.compute as pc
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    enc = col.dictionary_encode()
+    # to_numpy builds the Python strings ~10x faster than to_pylist
+    uniq = enc.dictionary.to_numpy(zero_copy_only=False).tolist()
+    return pc.take(pa.array([fn(v) for v in uniq], pa.string()), enc.indices)
 
 
 def read_parquet_nometa(paths, *, columns=None, **kw):

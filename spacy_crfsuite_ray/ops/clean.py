@@ -146,10 +146,7 @@ def norm_dedup(sf_dir: str) -> "rd.Dataset":
         .aggregate(Min("keep_doc_id"), Sum("n"))
     )
     return ds.map_batches(
-        stable_rename(
-            ["norm_hash", "keep_doc_id", "n_docs"],
-            [pa.string(), pa.int64(), pa.int64()],
-        ),
+        stable_rename(["norm_hash", "keep_doc_id", "n_docs"]),
         batch_format="pyarrow",
     )
 
@@ -620,8 +617,7 @@ def _dup_para_table(sf_dir: str) -> "rd.Dataset":
         .groupby("h")
         .aggregate(Min("pk"), Sum("n"))
         .map_batches(
-            stable_rename(["h", "mpk", "n"],
-                          [pa.string(), pa.int64(), pa.int64()]),
+            stable_rename(["h", "mpk", "n"]),
             batch_format="pyarrow",
         )
     )

@@ -1283,8 +1283,7 @@ def chunk_dup_stats(sf_dir: str, k: int = CHUNK_WORDS) -> "rd.Dataset":
         .groupby("doc_id")
         .sum(["one", "dup"])
         .map_batches(
-            stable_rename(["doc_id", "n_chunks", "n_dup_chunks"],
-                          [pa.int64(), pa.int64(), pa.int64()]),
+            stable_rename(["doc_id", "n_chunks", "n_dup_chunks"]),
             batch_format="pyarrow",
         )
     )
@@ -1396,7 +1395,7 @@ def _clusters_propagate(pairs: pa.Table) -> pa.Table:
             .groupby("node")
             .aggregate(Min("label"))
             .map_batches(
-                stable_rename(["node", "label"], [pa.int64(), pa.int64()]),
+                stable_rename(["node", "label"]),
                 batch_format="pyarrow",
             )
             .materialize()
@@ -1887,8 +1886,7 @@ def _decontam_joined(src, bench_sh, ngram_k: int, bench_mod: int):
         .groupby(["doc_id", "n_shingles"])
         .sum("n_hit")
         .map_batches(
-            stable_rename(["doc_id", "n_shingles", "n_hit"],
-                          [pa.int64(), pa.int64(), pa.int64()]),
+            stable_rename(["doc_id", "n_shingles", "n_hit"]),
             batch_format="pyarrow",
         )
     )
@@ -2265,8 +2263,7 @@ def _dup_span_joined(src, dup_ds, k: int) -> "rd.Dataset":
         .groupby("doc_id")
         .aggregate(Max("n_words"), Sum("covered_words"))
         .map_batches(
-            stable_rename(["doc_id", "n_words", "covered_words"],
-                          [pa.int64(), pa.int64(), pa.int64()]),
+            stable_rename(["doc_id", "n_words", "covered_words"]),
             batch_format="pyarrow",
         )
         .map_batches(finish, batch_format="pyarrow")

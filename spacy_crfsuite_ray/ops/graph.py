@@ -27,6 +27,14 @@ PR_ITERS = 10
 # corpus); above it the iterative Dataset join/groupby twin runs.
 PAGERANK_DRIVER_MAX_EDGES = 2_000_000
 
+# Rows each map task after a shuffle takes at least. A shuffle partition
+# that gets no keys emits an empty block without a schema, and Ray never
+# calls a UDF on an empty block, so no UDF can give it one; bundling the
+# input to this many rows merges such blocks into their neighbours' tasks
+# (whose batcher drops them), so each round carries one schema and logs no
+# schema-drift warning.
+_MIN_TASK_ROWS = 1 << 16
+
 
 def _pr_step_driver(r, src, dst, outdeg, n, base):
     """One fixed-point PageRank step over dense-coded edges (driver twin)."""
@@ -101,8 +109,8 @@ def _pagerank_distributed(edges, iters: int):
         .groupby("node")
         .sum("outdeg")
         .map_batches(
-            stable_rename(["node", "outdeg"], [pa.string(), pa.int64()]),
-            batch_format="pyarrow",
+            stable_rename(["node", "outdeg"]),
+            batch_format="pyarrow", batch_size=_MIN_TASK_ROWS,
         )
         .materialize()
     )
@@ -138,8 +146,6 @@ def _pagerank_distributed(edges, iters: int):
         share = int(ranks.filter(expr="outdeg == 0").sum("r") or 0) // n
 
         def rebase(batch: pa.Table, share=share) -> pa.Table:
-            if batch.num_columns == 0:
-                return out_schema.empty_table()
             s = np.asarray(batch.column("sum(c)"), dtype=np.int64)
             newr = base + (PR_DAMP_NUM * (s + share)) // PR_DAMP_DEN
             return pa.table([batch.column("node"), batch.column("sum(outdeg)"),
@@ -148,11 +154,13 @@ def _pagerank_distributed(edges, iters: int):
         ranks = (
             edges.join(ranks, join_type="inner", num_partitions=parts,
                        on=("src",), right_on=("node",))
-            .map_batches(contrib, batch_format="pyarrow")
+            .map_batches(contrib, batch_format="pyarrow",
+                         batch_size=_MIN_TASK_ROWS)
             .union(ranks.map_batches(own_row, batch_format="pyarrow"))
             .groupby("node", num_partitions=parts)
             .aggregate(Sum("c"), Sum("outdeg"))
-            .map_batches(rebase, batch_format="pyarrow")
+            .map_batches(rebase, batch_format="pyarrow",
+                         batch_size=_MIN_TASK_ROWS)
             .materialize()
         )
     return ranks
@@ -254,8 +262,7 @@ def _degree_stats_dataset(edges) -> pa.Table:
             .groupby("node")
             .sum("n")
             .map_batches(
-                stable_rename(["node", "degree"],
-                              [pa.string(), pa.int64()]),
+                stable_rename(["node", "degree"]),
                 batch_format="pyarrow",
             )
             .map_batches(hist_partial, batch_format="pyarrow")
@@ -263,8 +270,7 @@ def _degree_stats_dataset(edges) -> pa.Table:
             .groupby("degree")
             .sum("m")
             .map_batches(
-                stable_rename(["degree", "n_nodes"],
-                              [pa.int64(), pa.int64()]),
+                stable_rename(["degree", "n_nodes"]),
                 batch_format="pyarrow",
             ),
             empty_schema=pa.schema([("degree", pa.int64()),
@@ -449,8 +455,7 @@ def _cooc_joined(keyed, rows_hint: int | None):
         .groupby(["a", "b"])
         .sum("n")
         .map_batches(
-            stable_rename(["a", "b", "n_pages"],
-                          [pa.string(), pa.string(), pa.int64()]),
+            stable_rename(["a", "b", "n_pages"]),
             batch_format="pyarrow",
         )
     )
@@ -567,7 +572,7 @@ def _triangles_distributed(canon) -> int:
         .groupby("node")
         .sum("n")
         .map_batches(
-            stable_rename(["node", "deg"], [pa.string(), pa.int64()]),
+            stable_rename(["node", "deg"]),
             batch_format="pyarrow",
         )
     )

@@ -320,8 +320,7 @@ def priority_semijoin(sf_dir: str, min_discount: float = 0.06) -> "rd.Dataset":
     from ..functions.tables import stable_rename
 
     return ds.map_batches(
-        stable_rename(["o_orderpriority", "n_orders"],
-                      [pa.string(), pa.int64()]),
+        stable_rename(["o_orderpriority", "n_orders"]),
         batch_format="pyarrow",
     )
 
@@ -368,8 +367,7 @@ def customers_no_orders(sf_dir: str,
     from ..functions.tables import stable_rename
 
     return ds.map_batches(
-        stable_rename(["c_mktsegment", "n_customers"],
-                      [pa.string(), pa.int64()]),
+        stable_rename(["c_mktsegment", "n_customers"]),
         batch_format="pyarrow",
     )
 
@@ -830,8 +828,7 @@ def event_props_stats(sf_dir: str) -> "rd.Dataset":
     from ..functions.tables import stable_rename
 
     return ds.map_batches(
-        stable_rename(["event_type", "sum_k", "n_events"],
-                      [pa.string(), pa.int64(), pa.int64()]),
+        stable_rename(["event_type", "sum_k", "n_events"]),
         batch_format="pyarrow",
     )
 
@@ -996,8 +993,7 @@ def urgent_revenue_bloom(sf_dir: str,
     from ..functions.tables import stable_rename
 
     return ds.map_batches(
-        stable_rename(["l_returnflag", "revenue_c4", "n_items"],
-                      [pa.string(), pa.int64(), pa.int64()]),
+        stable_rename(["l_returnflag", "revenue_c4", "n_items"]),
         batch_format="pyarrow",
     )
 
@@ -1220,8 +1216,7 @@ def order_priority_pivot(sf_dir: str) -> "rd.Dataset":
     from ..functions.tables import stable_rename
 
     return ds.map_batches(
-        stable_rename(["c_mktsegment"] + names,
-                      [pa.string()] + [pa.int64()] * len(names)),
+        stable_rename(["c_mktsegment"] + names),
         batch_format="pyarrow",
     )
 
@@ -1275,7 +1270,7 @@ def distinct_users_by_type(sf_dir: str) -> "rd.Dataset":
     from ..functions.tables import stable_rename
 
     return ds.map_batches(
-        stable_rename(["event_type", "n_users"], [pa.string(), pa.int64()]),
+        stable_rename(["event_type", "n_users"]),
         batch_format="pyarrow",
     )
 
@@ -1561,7 +1556,7 @@ def revenue_running_total(sf_dir: str) -> pa.Table:
         .groupby("d")
         .sum("c")
         .map_batches(
-            stable_rename(["d", "c"], [pa.timestamp("us"), pa.int64()]),
+            stable_rename(["d", "c"]),
             batch_format="pyarrow",
         )
     )
@@ -1648,8 +1643,7 @@ def order_priority_rank(sf_dir: str) -> "rd.Dataset":
             .groupby(["p", "c"])
             .sum("n")
             .map_batches(
-                stable_rename(["p", "c", "n"],
-                              [pa.string(), pa.int64(), pa.int64()]),
+                stable_rename(["p", "c", "n"]),
                 batch_format="pyarrow",
             ),
             hist_schema,
@@ -1935,8 +1929,7 @@ def customer_order_profile(sf_dir: str):
         .groupby("o_custkey")
         .sum(["n", "spent_c2"])
         .map_batches(
-            stable_rename(["o_custkey", "n", "spent_c2"],
-                          [pa.int64(), pa.int64(), pa.int64()]),
+            stable_rename(["o_custkey", "n", "spent_c2"]),
             batch_format="pyarrow",
         )
     )
@@ -2088,8 +2081,7 @@ def user_activity_ledger(
         .groupby("user_id")
         .sum(["n_events", "ev_value_c2"])
         .map_batches(
-            stable_rename(["user_id", "n_events", "ev_value_c2"],
-                          [pa.int64(), pa.int64(), pa.int64()]),
+            stable_rename(["user_id", "n_events", "ev_value_c2"]),
             batch_format="pyarrow",
         )
     )
@@ -2098,8 +2090,7 @@ def user_activity_ledger(
         .groupby("o_custkey")
         .sum(["n_big_orders", "big_spend_c2"])
         .map_batches(
-            stable_rename(["o_custkey", "n_big_orders", "big_spend_c2"],
-                          [pa.int64(), pa.int64(), pa.int64()]),
+            stable_rename(["o_custkey", "n_big_orders", "big_spend_c2"]),
             batch_format="pyarrow",
         )
     )
@@ -2177,10 +2168,7 @@ def event_funnel(sf_dir: str) -> pa.Table:
         .groupby("user_id")
         .min([f"t_{s}" for s in FUNNEL_STAGES])
         .map_batches(
-            stable_rename(
-                ["user_id"] + [f"t_{s}" for s in FUNNEL_STAGES],
-                [pa.int64()] * 4,
-            ),
+            stable_rename(["user_id"] + [f"t_{s}" for s in FUNNEL_STAGES]),
             batch_format="pyarrow",
         )
     )
@@ -2317,15 +2305,14 @@ def user_retention(sf_dir: str):
         .groupby(["user_id", "week"])
         .count()
         .map_batches(
-            stable_rename(["user_id", "week", "n"],
-                          [pa.int64(), pa.int64(), pa.int64()]),
+            stable_rename(["user_id", "week", "n"]),
             batch_format="pyarrow",
         )
         .drop_columns(["n"])
         .materialize()  # consumed twice; bounded by distinct (user, week)
     )
     cohort = activity.groupby("user_id").min("week").map_batches(
-        stable_rename(["user_id", "cohort_week"], [pa.int64(), pa.int64()]),
+        stable_rename(["user_id", "cohort_week"]),
         batch_format="pyarrow",
     )
 
@@ -2358,8 +2345,7 @@ def user_retention(sf_dir: str):
         .groupby(["cohort_week", "week_offset"])
         .sum("n_users")
         .map_batches(
-            stable_rename(["cohort_week", "week_offset", "n_users"],
-                          [pa.int64(), pa.int64(), pa.int64()]),
+            stable_rename(["cohort_week", "week_offset", "n_users"]),
             batch_format="pyarrow",
         )
     )

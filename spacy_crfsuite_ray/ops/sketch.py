@@ -329,7 +329,7 @@ def heavy_hitters(sf_dir: str, table: str = "events",
         .groupby(column)
         .count()
         .map_batches(
-            stable_rename([column, "n_blocks"], [pa.int64(), pa.int64()]),
+            stable_rename([column, "n_blocks"]),
             batch_format="pyarrow",
         ),
         empty_schema=pa.schema([(column, pa.int64()),
@@ -358,7 +358,7 @@ def heavy_hitters(sf_dir: str, table: str = "events",
         .groupby(column)
         .sum("n")
         .map_batches(
-            stable_rename([column, "n_sum"], [pa.int64(), pa.int64()]),
+            stable_rename([column, "n_sum"]),
             batch_format="pyarrow",
         ),
         empty_schema=pa.schema([(column, pa.int64()), ("n_sum", pa.int64())]),

@@ -75,7 +75,7 @@ def lang_count(sf_dir: str) -> "rd.Dataset":
         .groupby("lang")
         .sum("n")
         .map_batches(
-            stable_rename(["lang", "n_docs"], [pa.string(), pa.int64()]),
+            stable_rename(["lang", "n_docs"]),
             batch_format="pyarrow",
         )
     )
@@ -967,8 +967,7 @@ def _rarity_joined(sf_dir: str, vocab, total: int, n_docs: int):
         .groupby("doc_id")
         .aggregate(Sum("contrib"), Sum("n_tokens"))
         .map_batches(
-            stable_rename(["doc_id", "contrib", "n_tokens"],
-                          [pa.int64(), pa.int64(), pa.int64()]),
+            stable_rename(["doc_id", "contrib", "n_tokens"]),
             batch_format="pyarrow",
         )
         .map_batches(finish, batch_format="pyarrow")
@@ -1122,8 +1121,7 @@ def dsir_weights(
         .groupby("bkt")
         .aggregate(Sum("t_cnt"), Sum("r_cnt"))
         .map_batches(
-            stable_rename(["bkt", "t_cnt", "r_cnt"],
-                          [pa.string(), pa.int64(), pa.int64()]),
+            stable_rename(["bkt", "t_cnt", "r_cnt"]),
             batch_format="pyarrow",
         ),
         empty_schema=pa.schema(

@@ -16,10 +16,11 @@ Phase 2 (global, cheap by construction): every input is ALREADY reduced —
   magnitude smaller than sentences. linking → canonical triples →
   nodes/edges with deterministic content-hash ids → partitioned parquet +
   manifests. One decision from parquet footer row counts picks one of two
-  paths (``DRIVER_MERGE_MAX_ROWS``): the driver path links on the driver and
-  broadcasts the mapping; the join path keeps the mapping a Dataset
-  (minhash-band groupby over unique surfaces, then (type, norm) hash-joins).
-  Each phase-2 manifest records which path ran.
+  paths (``DRIVER_MERGE_MAX_ROWS``): the driver path runs in-process with no
+  Ray execution (linking on the driver, then one canonicalize → triples →
+  edges pass over the raw triple files); the join path keeps the mapping a
+  Dataset (minhash-band groupby over unique surfaces, then (type, norm)
+  hash-joins). Each phase-2 manifest records which path ran.
 
 Scale notes: on the join path the only all-to-all exchanges are the
 (type, norm) surface groupby (over UNIQUE surfaces, pre-aggregated per batch
@@ -32,6 +33,7 @@ themselves.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -40,25 +42,31 @@ import time
 from typing import Dict, List, Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray
 import ray.data as rd
 
 from ..stages.extract import explode_sentences, extract_text_batch, filter_lang
 from ..stages.graph import (
+    edge_ids_col,
     edge_key_batch,
     edge_observation_combiner,
     manifest_valid,
     read_manifests,
     write_manifest,
 )
-from ..stages.link import explode_band_keys, resolve_block_group
+from ..stages.link import (
+    explode_band_keys,
+    node_ids_col,
+    normalized_col,
+    resolve_block_group,
+)
 from ..stages.relations import derive_union_batch
 from ..stages.tag import tag_batch
 from ..state.model import ensure_default_model, model_digest
 from ..functions.hashing import node_id as _node_id
-from ..functions.tables import stable_rename
+from ..functions.tables import map_unique, stable_rename
 from .shards import run_sharded
 # the sharding helpers stay importable from here for the benchmark and tests
 from .shards import _shard_groups, _stable_shard_groups, _walk_parquet  # noqa: F401
@@ -161,18 +169,25 @@ def _kind_files(out_dir: str, kind: str) -> List[str]:
 
 # Phase 2 picks one of two paths, once, from parquet footer row counts. When
 # both the surface-count rows and the raw triples number at most this many,
-# the driver path runs: linking and nodes on the driver, the mapping
-# broadcast to the canonicalize tasks, the edge dedup one driver group_by.
-# Above it the join path runs: nothing is collected or broadcast, linking is
-# the banded groupby, canonicalization and nodes are (type, norm) hash-joins
-# against the mapping Dataset, and edges are distributed groupbys, so no step
-# grows with the corpus on the driver or in worker heaps. The two paths'
-# outputs are byte-equal (tests/test_large_paths.py).
+# the driver path runs in-process with no Ray execution: linking and nodes
+# on the driver, canonicalization a (type, norm) lookup in the mapping one
+# triple file at a time, the edge dedup one driver group_by. Above it the
+# join path runs: nothing is collected, linking is the banded groupby,
+# canonicalization and nodes are (type, norm) hash-joins against the mapping
+# Dataset, and edges are distributed groupbys, so no step grows with the
+# corpus on the driver or in worker heaps. The two paths' outputs are
+# byte-equal (tests/test_large_paths.py).
 DRIVER_MERGE_MAX_ROWS = 5_000_000
 
 _SURF_COLS = ["type", "norm", "cnt"]
 _TRIPLE_COLS = ["subj", "pred", "obj", "subj_type", "obj_type", "url",
                 "confidence"]
+CANONICAL_TRIPLES_SCHEMA = pa.schema(
+    [(c, pa.string()) for c in _TRIPLE_COLS[:-1]]
+    + [("confidence", pa.float64()),
+       ("subj_canonical", pa.string()), ("obj_canonical", pa.string()),
+       ("subj_id", pa.string()), ("obj_id", pa.string())]
+)
 
 
 def build_canonical_mapping_ds(
@@ -191,7 +206,7 @@ def build_canonical_mapping_ds(
         .groupby(["type", "norm"])
         .min("canonical")  # first-wins-over-sorted-blocks, vectorized
         .map_batches(
-            stable_rename(["type", "norm", "canonical"], [pa.string()] * 3),
+            stable_rename(["type", "norm", "canonical"]),
             batch_format="pyarrow",
         )
     ).materialize()
@@ -211,8 +226,6 @@ def build_canonical_mapping_ds(
     )
 
     def flat(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table(
             {
                 "type": b.column("type"),
@@ -226,23 +239,6 @@ def build_canonical_mapping_ds(
     return j.map_batches(flat, batch_format="pyarrow").materialize()
 
 
-def make_canonical_apply(mapping_ref):
-    """Task-based canonical rewrite (no actor spawn — the broadcast mapping
-    is fetched from the object store once per worker and memoized)."""
-    cache: dict = {}
-
-    def apply(batch: pa.Table) -> pa.Table:
-        from ..stages.link import ApplyCanonicalToTriples
-
-        stage = cache.get("stage")
-        if stage is None:
-            stage = ApplyCanonicalToTriples(mapping_ref)
-            cache["stage"] = stage
-        return stage(batch)
-
-    return apply
-
-
 def canonicalize_triples_joined(
     triples_ds: "rd.Dataset", mapping_ds: "rd.Dataset", num_partitions: int
 ) -> "rd.Dataset":
@@ -250,9 +246,7 @@ def canonicalize_triples_joined(
     mapping Dataset against the triples on each side (subj, obj) — the same
     co-partitioned pattern as ops/dedup.py ``_verify_pairs_joined``. A
     surface missing from the mapping falls back to its normalized form,
-    exactly like the driver path's broadcast stage (stages/link.py). Output
-    columns match the driver path's order."""
-    from ..stages.link import node_ids_col, normalized_col
+    exactly like the driver path's lookup (``_canonicalize_file``)."""
 
     def add_norms(b: pa.Table) -> pa.Table:
         b = b.append_column("norm_subj", normalized_col(b.column("subj")))
@@ -283,39 +277,65 @@ def canonicalize_triples_joined(
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         subj_c = pc.coalesce(b.column("s_canonical"), b.column("norm_subj"))
         obj_c = pc.coalesce(b.column("o_canonical"), b.column("norm_obj"))
-        return pa.table(
-            {
-                "subj": b.column("subj"),
-                "pred": b.column("pred"),
-                "obj": b.column("obj"),
-                "subj_type": b.column("subj_type"),
-                "obj_type": b.column("obj_type"),
-                "url": b.column("url"),
-                "confidence": b.column("confidence"),
-                "subj_canonical": subj_c,
-                "obj_canonical": obj_c,
-                "subj_id": node_ids_col(subj_c, b.column("subj_type")),
-                "obj_id": node_ids_col(obj_c, b.column("obj_type")),
-            }
+        return _canonical_triples(
+            b, subj_c, obj_c, node_ids_col(subj_c, b.column("subj_type")),
+            node_ids_col(obj_c, b.column("obj_type")),
         )
 
     return t.map_batches(finish, batch_format="pyarrow")
 
 
-def _write_empty_triples(triples_shard: str) -> None:
-    """No relations found anywhere: still emit a schema-stable output."""
-    os.makedirs(triples_shard, exist_ok=True)
-    empty = pa.Table.from_pylist([], schema=pa.schema(
-        [(c, pa.string()) for c in _TRIPLE_COLS[:-1]]
-        + [("confidence", pa.float64()),
-           ("subj_canonical", pa.string()), ("obj_canonical", pa.string()),
-           ("subj_id", pa.string()), ("obj_id", pa.string())]
-    ))
-    pq.write_table(empty, os.path.join(triples_shard, "part-0.parquet"))
+def _canonical_triples(raw: pa.Table, subj_c, obj_c, subj_id,
+                       obj_id) -> pa.Table:
+    """Raw triples + their canonical subj/obj surfaces and node ids ->
+    canonical triples (``CANONICAL_TRIPLES_SCHEMA``). The one column
+    assembly both phase-2 paths write."""
+    return pa.table(
+        [*(raw.column(c) for c in _TRIPLE_COLS), subj_c, obj_c, subj_id,
+         obj_id],
+        schema=CANONICAL_TRIPLES_SCHEMA,
+    )
+
+
+def _canonicalize_file(path: str, canonical_of, node_id_of) -> pa.Table:
+    """Driver-path rewrite of one raw triple file: each side's UNIQUE
+    (type, value) keys map to their canonical surface and node id."""
+    raw = pq.read_table(path, columns=_TRIPLE_COLS)
+
+    def side(type_col, value_col):
+        keys = pc.binary_join_element_wise(type_col, value_col, "\x1f")
+        return map_unique(keys, canonical_of), map_unique(keys, node_id_of)
+
+    subj_c, subj_id = side(raw.column("subj_type"), raw.column("subj"))
+    obj_c, obj_id = side(raw.column("obj_type"), raw.column("obj"))
+    return _canonical_triples(raw, subj_c, obj_c, subj_id, obj_id)
+
+
+_OBS_COLS = ["subj_id", "pred", "obj_id", "url", "confidence"]
+
+
+def _write_edges(obs: List[pa.Table], edges_dir: str) -> int:
+    """Edges from in-hand (subj_id, pred, obj_id, url, confidence)
+    observations (none: a schema-stable empty file): ONE pyarrow group_by
+    (distinct urls, max confidence), then an edge id per grouped edge,
+    written as one file. Returns the edges written."""
+    empty = CANONICAL_TRIPLES_SCHEMA.empty_table().select(_OBS_COLS)
+    grouped = (
+        pa.concat_tables([empty, *obs])
+        .group_by(["subj_id", "pred", "obj_id"])
+        .aggregate([("url", "count_distinct"), ("confidence", "max")])
+    )
+    edges_tbl = pa.table(
+        [edge_ids_col(*grouped.columns[:3]), *grouped.columns],
+        names=["edge_id", "subj_id", "pred", "obj_id", "n_sources",
+               "confidence"],
+    )
+    edges_shard = os.path.join(edges_dir, "shard=all")
+    os.makedirs(edges_shard, exist_ok=True)
+    pq.write_table(edges_tbl, os.path.join(edges_shard, "part-0.parquet"))
+    return edges_tbl.num_rows
 
 
 def _written_rows(shard_dir: str) -> int:
@@ -371,15 +391,18 @@ def run_phase2(out_dir: str, force: bool = False) -> Dict:
 
 def _phase2_driver(surf_files: List[str], triple_files: List[str],
                    t_rows: int, dirs: Dict, manifest) -> int:
-    """Phase 2 with linking and nodes on the driver (no Ray executions) and
-    the mapping broadcast to the canonicalize tasks. Canonicalization maps
-    triples 1:1, so the triples manifest records ``t_rows``. Returns the
-    number of unique surfaces."""
-    import threading
+    """Phase 2 in this process, no Ray execution: linking and nodes from the
+    unique surfaces, then one pass over the raw triple files that
+    canonicalizes each file against the mapping, appends it to the triples
+    file and keeps its edge observations; the edges are one group_by over
+    those, hashed once per edge. Driver memory is one triple file, the
+    observations and one cached canonical surface and node id per unique
+    raw surface. Canonicalization maps triples 1:1, so the triples manifest
+    records ``t_rows``. Returns the number of unique surfaces."""
     from collections import Counter
     from concurrent.futures import ThreadPoolExecutor
 
-    from ..core.linking import mapping_from_surfaces
+    from ..core.linking import mapping_from_surfaces, normalize_surface
 
     t0 = time.time()
     if surf_files:
@@ -400,15 +423,10 @@ def _phase2_driver(surf_files: List[str], triple_files: List[str],
              "cnt": pa.array([], pa.int64())}
         )
 
-    def surfaces():
-        return zip(
-            surf_tbl.column("type").to_pylist(),
-            surf_tbl.column("norm").to_pylist(),
-            surf_tbl.column("cnt").to_pylist(),
-        )
+    def surfaces():  # to_numpy builds Python values ~10x faster than to_pylist
+        return zip(*(surf_tbl.column(c).to_numpy().tolist() for c in _SURF_COLS))
 
     mapping = mapping_from_surfaces(surfaces())
-    mapping_ref = ray.put(mapping)
 
     # --- mapping artifact: the surface→canonical linking table, written as
     # partitioned parquet lineage output (unique surfaces — small relative
@@ -428,61 +446,32 @@ def _phase2_driver(surf_files: List[str], triple_files: List[str],
     pq.write_table(mtbl, os.path.join(mapping_shard, "part-0.parquet"))
     manifest("mapping", mtbl.num_rows, tm)
 
-    # --- canonical triples: task-based rewrite against the object-store
-    # mapping, MATERIALIZED once; it feeds both the parquet write and the
-    # edges pass from the object store (no disk round-trip).
+    # --- canonical triples, one raw triple file at a time; each unique
+    # (type, value) surface resolves once per run, and with no triple files
+    # the writer still leaves the schema-stable empty file
+    @functools.cache
+    def canonical_of(key: str) -> str:  # "type\x1fvalue"
+        type_, value = key.split("\x1f", 1)
+        norm = normalize_surface(value)
+        return mapping.get((type_, norm), norm)
+
+    @functools.cache
+    def node_id_of(key: str) -> str:
+        return _node_id(canonical_of(key), key.split("\x1f", 1)[0])
+
     triples_shard = os.path.join(dirs["triples"], "shard=all")
-    triples_write = None
-    if triple_files:
-        ct = rd.read_parquet(triple_files, columns=_TRIPLE_COLS).map_batches(
-            make_canonical_apply(mapping_ref), batch_format="pyarrow"
-        ).materialize()
+    os.makedirs(triples_shard, exist_ok=True)
+    obs = []
+    with pq.ParquetWriter(os.path.join(triples_shard, "part-0.parquet"),
+                          CANONICAL_TRIPLES_SCHEMA) as writer:
+        for f in triple_files:
+            ct = _canonicalize_file(f, canonical_of, node_id_of)
+            writer.write_table(ct)
+            obs.append(ct.select(_OBS_COLS))
+    manifest("triples", t_rows, t0)
 
-        # the edges pass reads the MATERIALIZED dataset, not the parquet —
-        # so the triples write proceeds on a side thread and joins before
-        # its manifest is recorded (see below). The thread captures any
-        # write failure so the join RE-RAISES it — a manifest must never be
-        # recorded over a failed/partial write.
-        class _WriteThread(threading.Thread):
-            def run(self):
-                self.error = None
-                try:
-                    ct.write_parquet(triples_shard)
-                except BaseException as exc:  # re-raised at join
-                    self.error = exc
-
-            def join_checked(self):
-                self.join()
-                if self.error is not None:
-                    raise self.error
-
-        triples_write = _WriteThread()
-        triples_write.start()
-    else:
-        _write_empty_triples(triples_shard)
-        ct = rd.read_parquet(triples_shard)
-
-    def finish_triples():
-        """Join the overlapped write (if any) and record the manifest.
-        A failed write re-raises here, BEFORE the manifest exists."""
-        if triples_write is not None:
-            triples_write.join_checked()
-        manifest("triples", t_rows, t0)
-
-    # --- edges pass, while the triples write streams. The write must
-    # ALWAYS be joined: an edges failure must not leave the write thread
-    # orphaned mid-flight; only SECONDARY errors from the join are
-    # suppressed while the primary edges error propagates.
     t1 = time.time()
-    try:
-        manifest("edges", _edges_pass(ct, dirs["edges"], small=True), t1)
-    except BaseException:
-        try:
-            finish_triples()
-        except BaseException:
-            pass
-        raise
-    finish_triples()
+    manifest("edges", _write_edges(obs, dirs["edges"]), t1)
 
     # --- nodes: from unique surfaces + mapping (no second mention pass)
     t2 = time.time()
@@ -511,7 +500,6 @@ def _phase2_join(surf_files: List[str], triple_files: List[str],
     Dataset and every step is a Ray shuffle or hash-join. Returns the number
     of unique surfaces."""
     from ..functions.cluster import join_partitions
-    from ..stages.link import node_ids_col
 
     t0 = time.time()
     surf_ds = (
@@ -519,7 +507,7 @@ def _phase2_join(surf_files: List[str], triple_files: List[str],
         .groupby(["type", "norm"])
         .sum("cnt")
         .map_batches(
-            stable_rename(_SURF_COLS, [pa.string(), pa.string(), pa.int64()]),
+            stable_rename(_SURF_COLS),
             batch_format="pyarrow",
         )
     ).materialize()
@@ -538,15 +526,16 @@ def _phase2_join(surf_files: List[str], triple_files: List[str],
             rd.read_parquet(triple_files, columns=_TRIPLE_COLS), mapping_ds,
             join_partitions(rows=t_rows),
         ).write_parquet(triples_shard)
-    else:
-        _write_empty_triples(triples_shard)
+    else:  # Ray writes no file for an empty Dataset
+        os.makedirs(triples_shard, exist_ok=True)
+        pq.write_table(CANONICAL_TRIPLES_SCHEMA.empty_table(),
+                       os.path.join(triples_shard, "part-0.parquet"))
     manifest("triples", t_rows, t0)
 
-    # Ray writes no file for an empty Dataset, so with no triples the edges
-    # come from the driver group_by as a schema-stable empty table
     t1 = time.time()
-    manifest("edges", _edges_pass(rd.read_parquet(triples_shard),
-                                  dirs["edges"], small=not t_rows), t1)
+    n_edges = (_edges_pass(rd.read_parquet(triples_shard), dirs["edges"])
+               if t_rows else _write_edges([], dirs["edges"]))
+    manifest("edges", n_edges, t1)
 
     # --- nodes: unique surfaces ⋈ mapping on (type, norm)
     t2 = time.time()
@@ -564,8 +553,6 @@ def _phase2_join(surf_files: List[str], triple_files: List[str],
     )
 
     def node_rows(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         canon = pc.coalesce(batch.column("m_canonical"), batch.column("norm"))
         return pa.table(
             {
@@ -582,8 +569,7 @@ def _phase2_join(surf_files: List[str], triple_files: List[str],
         .groupby(["node_id", "canonical", "type"])
         .sum("cnt")
         .map_batches(
-            stable_rename(["node_id", "canonical", "type", "n_mentions"],
-                          [pa.string()] * 3 + [pa.int64()]),
+            stable_rename(["node_id", "canonical", "type", "n_mentions"]),
             batch_format="pyarrow",
         )
     ).write_parquet(nodes_shard)
@@ -591,51 +577,16 @@ def _phase2_join(surf_files: List[str], triple_files: List[str],
     return n_unique
 
 
-def _edges_pass(canonical_triples: "rd.Dataset", edges_dir: str,
-                small: bool) -> int:
-    """Edges: map side runs distributed (edge-id derivation); the final
-    dedup/count is ONE driver-side pyarrow group_by with count_distinct on
-    the driver path (observations ~ triples — tens of MB), else the
-    distributed combiner + two-stage groupby. (Measured: a per-batch
-    (edge, url) dedup combiner removes ~0 rows on this workload — one URL
-    rarely repeats an edge — so the driver path skips it entirely.)
-    Returns the number of edges written."""
-    obs = canonical_triples.select_columns(
-        ["subj_id", "pred", "obj_id", "url", "confidence"]
-    ).map_batches(edge_key_batch, batch_format="pyarrow")
-    edges_shard = os.path.join(edges_dir, "shard=all")
-
-    if small:
-        # batch_size=None yields whole blocks: the default 4096-row
-        # re-batching cost 7.2 s on this pull (4.1M rows) vs 0.18 s for
-        # block-sized batches — it was the single biggest serial-tail item
-        # in the scaling measurement
-        obs_parts = [
-            b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-            for b in obs.iter_batches(batch_format="pyarrow", batch_size=None)
-        ]
-        if not obs_parts:  # no triples at all -> schema-stable empty obs
-            obs_parts = [pa.Table.from_pylist([], schema=pa.schema(
-                [("edge_id", pa.string()), ("subj_id", pa.string()),
-                 ("pred", pa.string()), ("obj_id", pa.string()),
-                 ("url", pa.string()), ("confidence", pa.float64())]
-            ))]
-        obs_tbl = pa.concat_tables(obs_parts)
-        edges_tbl = (
-            obs_tbl.group_by(["edge_id", "subj_id", "pred", "obj_id"])
-            .aggregate([("url", "count_distinct"), ("confidence", "max")])
-            .rename_columns(
-                ["edge_id", "subj_id", "pred", "obj_id", "n_sources",
-                 "confidence"]
-            )
-        )
-        os.makedirs(edges_shard, exist_ok=True)
-        pq.write_table(edges_tbl, os.path.join(edges_shard, "part-0.parquet"))
-        return edges_tbl.num_rows
-
+def _edges_pass(canonical_triples: "rd.Dataset", edges_dir: str) -> int:
+    """Join-path edges: distributed edge-id derivation, a per-batch
+    (edge, url) combiner, then a two-stage groupby. Returns the number of
+    edges written."""
     from ray.data.aggregate import Max, Sum
 
-    obs = obs.map_batches(edge_observation_combiner, batch_format="pyarrow")
+    obs = canonical_triples.select_columns(
+        ["subj_id", "pred", "obj_id", "url", "confidence"]
+    ).map_batches(edge_key_batch, batch_format="pyarrow").map_batches(
+        edge_observation_combiner, batch_format="pyarrow")
 
     def partial_edge_counts(batch: pa.Table) -> pa.Table:
         return (
@@ -652,9 +603,7 @@ def _edges_pass(canonical_triples: "rd.Dataset", edges_dir: str,
         .max("confidence")
         .map_batches(
             stable_rename(
-                ["edge_id", "subj_id", "pred", "obj_id", "url",
-                 "confidence"],
-                [pa.string()] * 5 + [pa.float64()],
+                ["edge_id", "subj_id", "pred", "obj_id", "url", "confidence"]
             ),
             batch_format="pyarrow",
         )
@@ -662,14 +611,12 @@ def _edges_pass(canonical_triples: "rd.Dataset", edges_dir: str,
         .groupby(["edge_id", "subj_id", "pred", "obj_id"])
         .aggregate(Sum("n_partial"), Max("confidence"))
         .map_batches(
-            stable_rename(
-                ["edge_id", "subj_id", "pred", "obj_id", "n_sources",
-                 "confidence"],
-                [pa.string()] * 4 + [pa.int64(), pa.float64()],
-            ),
+            stable_rename(["edge_id", "subj_id", "pred", "obj_id",
+                           "n_sources", "confidence"]),
             batch_format="pyarrow",
         )
     )
+    edges_shard = os.path.join(edges_dir, "shard=all")
     edges.write_parquet(edges_shard)
     return _written_rows(edges_shard)
 

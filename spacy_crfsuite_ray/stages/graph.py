@@ -16,32 +16,27 @@ from typing import Dict, List, Optional
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.hashing import edge_id
+from ..functions.hashing import short_sha1
+from ..functions.tables import map_unique
 
-_EDGE_ID_MEMO: dict = {}
+
+def edge_ids_col(subj_id, pred, obj_id) -> pa.Array:
+    """Edge ids (``edge_id``), sha1 once per UNIQUE (subj_id, pred, obj_id):
+    edge keys repeat heavily (unique edges ≪ triples)."""
+    import pyarrow.compute as pc
+
+    return map_unique(
+        pc.binary_join_element_wise(subj_id, pred, obj_id, "|"), short_sha1
+    )
 
 
 def edge_key_batch(batch: pa.Table) -> pa.Table:
-    """canonical triples → (edge_id, subj_id, pred, obj_id, url, confidence).
-    Edge keys repeat heavily (unique edges ≪ triples) — sha1 memoized per
-    worker with a bounded cache."""
-    memo = _EDGE_ID_MEMO
-    eids = []
-    for s, p, o in zip(
-        batch.column("subj_id").to_pylist(),
-        batch.column("pred").to_pylist(),
-        batch.column("obj_id").to_pylist(),
-    ):
-        key = (s, p, o)
-        eid = memo.get(key)
-        if eid is None:
-            eid = edge_id(s, p, o)
-            if len(memo) < 2_000_000:
-                memo[key] = eid
-        eids.append(eid)
+    """canonical triples → (edge_id, subj_id, pred, obj_id, url, confidence)."""
     return pa.table(
         {
-            "edge_id": pa.array(eids, pa.string()),
+            "edge_id": edge_ids_col(batch.column("subj_id"),
+                                    batch.column("pred"),
+                                    batch.column("obj_id")),
             "subj_id": batch.column("subj_id"),
             "pred": batch.column("pred"),
             "obj_id": batch.column("obj_id"),

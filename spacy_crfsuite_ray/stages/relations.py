@@ -5,6 +5,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..core.relations import extract_relations
+from .tag import ENTITY_TYPE
 
 MENTION_SCHEMA = pa.schema(
     [
@@ -23,17 +24,7 @@ DERIVED_SCHEMA = pa.schema(
         ("sent_idx", pa.int32()),
         ("base", pa.int32()),
         ("sent", pa.string()),
-        ("entities", pa.list_(
-            pa.struct(
-                [
-                    ("start", pa.int32()),
-                    ("end", pa.int32()),
-                    ("value", pa.string()),
-                    ("entity", pa.string()),
-                    ("confidence", pa.float64()),
-                ]
-            )
-        )),
+        ("entities", pa.list_(ENTITY_TYPE)),
         ("subj", pa.string()),
         ("pred", pa.string()),
         ("obj", pa.string()),

@@ -33,17 +33,12 @@ def salted_sum(
     value_col: str,
     n_salts: int = DEFAULT_SALTS,
     out_name: str = None,
-    key_types: List[pa.DataType] = None,
-    value_type: pa.DataType = pa.int64(),
 ) -> "rd.Dataset":
     """SUM(value) GROUP BY keys, skew-safe: per-batch combine → salted
-    groupby → merge groupby. ``key_types``/``value_type`` fix the output
-    schema so empty shuffle blocks stay schema-stable (no executor
-    schema-drift warnings)."""
+    groupby → merge groupby."""
     from ..functions.tables import stable_rename
 
     out_name = out_name or value_col
-    key_types = key_types or [pa.string()] * len(keys)
 
     def combine(batch: pa.Table) -> pa.Table:
         batch = add_salt(batch, n_salts)
@@ -59,8 +54,7 @@ def salted_sum(
         .groupby(keys + ["salt"])
         .sum(value_col)
         .map_batches(
-            stable_rename(keys + ["salt", value_col],
-                          key_types + [pa.int64(), value_type]),
+            stable_rename(keys + ["salt", value_col]),
             batch_format="pyarrow",
         )
     )
@@ -70,7 +64,7 @@ def salted_sum(
         coalesce_small(first).groupby(keys)
         .sum(value_col)
         .map_batches(
-            stable_rename(keys + [out_name], key_types + [value_type]),
+            stable_rename(keys + [out_name]),
             batch_format="pyarrow",
         )
     )

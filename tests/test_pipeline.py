@@ -167,6 +167,45 @@ def test_pipeline_with_everything_filtered(ray_session, tmp_path):
     assert "subj_id" in t.column_names
 
 
+def test_phase2_driver_path_without_triples(ray_session, tmp_path):
+    """Surface counts but no raw triple files: the driver path still writes
+    the schema-stable canonical triples and edges files (0 rows) and the
+    nodes, and every manifest records the driver path."""
+    import pyarrow as pa
+
+    from spacy_crfsuite_ray.pipelines.kg import run_phase2
+    from spacy_crfsuite_ray.stages.graph import read_manifests
+
+    surf_dir = tmp_path / "tagged" / "shard=00000" / "kind=s"
+    surf_dir.mkdir(parents=True)
+    pq.write_table(
+        pa.table({"type": ["ORG", "ORG", "PER"],
+                  "norm": ["acme corp", "acme corp.", "alice smith"],
+                  "cnt": pa.array([3, 1, 2], pa.int64())}),
+        str(surf_dir / "part-0.parquet"),
+    )
+    res = run_phase2(str(tmp_path))
+
+    triples = pq.read_table(os.path.join(res["triples_dir"], "shard=all"))
+    assert triples.num_rows == 0
+    assert triples.column_names == [
+        "subj", "pred", "obj", "subj_type", "obj_type", "url", "confidence",
+        "subj_canonical", "obj_canonical", "subj_id", "obj_id"]
+    edges = pq.read_table(os.path.join(res["edges_dir"], "shard=all"))
+    assert edges.num_rows == 0
+    assert edges.column_names == ["edge_id", "subj_id", "pred", "obj_id",
+                                  "n_sources", "confidence"]
+    nodes = pq.read_table(os.path.join(res["nodes_dir"], "shard=all"))
+    assert nodes.num_rows > 0
+
+    manifests = {d: read_manifests(str(tmp_path / d))
+                 for d in ("mapping", "triples", "edges", "nodes")}
+    for d, [m] in manifests.items():
+        assert m["path"] == "driver", d
+    assert manifests["triples"][0]["rows_out"] == 0
+    assert manifests["edges"][0]["rows_out"] == 0
+
+
 def test_incremental_ingest_stable_shards(ray_session, tmp_path):
     """files_per_shard mode: appending input files (sorting after the
     existing ones) re-runs ONLY the new chunks, and the incremental result

@@ -73,6 +73,42 @@ def test_deterministic_ids():
     assert hashing.edge_id("a", "p", "b") != hashing.edge_id("b", "p", "a")
 
 
+def test_edge_key_batch_ids_per_row():
+    """Edge ids are computed once per unique (subj_id, pred, obj_id) and
+    gathered back: every row's id must still be its own edge_id, across
+    chunks and repeated keys, with the other columns passed through."""
+    import pyarrow as pa
+
+    from spacy_crfsuite_ray.stages.graph import edge_key_batch
+
+    rows = [("s1", "works_for", "o1", "u1", 0.9),
+            ("s1", "works_for", "o1", "u2", 0.8),
+            ("s2", "born_in", "o1", "u1", 0.7),
+            ("s1", "born_in", "o1", "u3", 0.6),
+            ("s1", "works_for", "o1", "u4", 0.5),
+            ("s2", "born_in", "o1", "u5", 0.4)]
+    names = ["subj_id", "pred", "obj_id", "url", "confidence"]
+
+    def table(part):
+        return pa.table({n: [r[i] for r in part] for i, n in enumerate(names)})
+
+    batch = pa.concat_tables([table(rows[:2]), table(rows[2:5]),
+                              table(rows[5:])])
+    assert batch.column("subj_id").num_chunks == 3
+    out = edge_key_batch(batch)
+    assert out.column_names == ["edge_id", *names]
+    assert out.column("edge_id").to_pylist() == [
+        hashing.edge_id(s, p, o) for s, p, o, _, _ in rows]
+    for n in names:
+        assert out.column(n).to_pylist() == batch.column(n).to_pylist()
+
+    empty = edge_key_batch(batch.schema.empty_table())
+    assert empty.num_rows == 0
+    assert empty.schema == pa.schema(
+        [("edge_id", pa.string())] + list(zip(names, [pa.string()] * 4
+                                              + [pa.float64()])))
+
+
 def test_minhash_similarity_monotonic():
     a = hashing.minhash_signature(hashing.char_shingles("the quick brown fox jumps"))
     b = hashing.minhash_signature(hashing.char_shingles("the quick brown fox jumped"))
