@@ -71,10 +71,12 @@ from .shards import run_sharded
 # the sharding helpers stay importable from here for the benchmark and tests
 from .shards import _shard_groups, _stable_shard_groups, _walk_parquet  # noqa: F401
 
-TAG_BATCH_SIZE = 128  # input pages per UDF call (stage is fused with extract)
-# Read/task granularity. Each phase-1 task writes one file per kind, and every
-# downstream read pays driver-side planning PER FILE — so blocks are sized for
-# ~10 tasks/cpu load balance, not maximal fan-out.
+TAG_BATCH_SIZE = 128  # sentences per tag_batch call (after the explode)
+# Read/task granularity: one block, and so one fused phase-1 task, per
+# PAGES_PER_BLOCK pages (at least one per file). Each task writes one file per
+# kind, and every downstream read pays driver-side planning PER FILE — so
+# blocks are large, not maximal fan-out: 8,000 pages make 4 blocks, one task
+# per CPU at 4 CPUs.
 PAGES_PER_BLOCK = 2000
 
 # On-disk layout tag recorded in every phase-1 manifest; bumping it invalidates

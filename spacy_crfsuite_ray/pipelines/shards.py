@@ -28,6 +28,16 @@ import ray.data as rd
 
 from ..stages.graph import input_ref_entries, manifest_valid, write_manifest
 
+# Block-size target of the sharded write's execution. Until one task of an
+# operator has finished, Ray Data budgets each task's object-store output at
+# 2 x target_max_block_size: at Ray's 128 MiB default, a store budget below
+# N x 256 MiB starts fewer than N fused map->write tasks and holds the rest
+# until one ends. Each of these tasks outputs one small write-metadata block,
+# and the largest block in flight inside one (the union rows of a 2,000-page
+# phase-1 block) is about 4.2 MB: 8 MiB admits every task from the start and
+# splits no block. Object-store admission itself stays on.
+_WRITE_TARGET_MAX_BLOCK_SIZE = 8 * 1024 * 1024
+
 
 def _shard_groups(files: List[str], shards: int) -> List[List[str]]:
     shards = max(1, min(shards, len(files)))
@@ -141,6 +151,9 @@ def run_sharded(
     all_ds = branches[0] if len(branches) == 1 else branches[0].union(
         *branches[1:]
     )
+    # the written Dataset's own context: Ray copied the global one when the
+    # branch was read, so the process-wide DataContext keeps its value
+    all_ds.context.target_max_block_size = _WRITE_TARGET_MAX_BLOCK_SIZE
     all_ds.write_parquet(out_dir, partition_cols=list(partition_cols))
     wall = time.time() - t0
     for pid, _group in to_run:

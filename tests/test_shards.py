@@ -1,8 +1,8 @@
 """The shared sharded-manifest runner (pipelines/shards.py) as the kg, scrub
 and export pipelines drive it: phase-2 staleness after a shard-set change,
 phase-1 re-runs when the language or the model changes, rejection of bad
-sharding values, the export's empty-shard output, and the CLI's Ray session
-ownership."""
+sharding values, the export's empty-shard output, task admission of the
+sharded write, and the CLI's Ray session ownership."""
 
 import os
 
@@ -174,6 +174,58 @@ def test_export_shard_with_no_selected_docs(ray_session, tmp_path):
                                chunk_words=8, shards=2)
     assert res2["shards_run"] == 0 and res2["shards_skipped"] == 2
     assert res2["rows"] == res["rows"]
+
+
+def test_sharded_write_starts_every_task_at_once(ray_session, tmp_path):
+    """Under an object-store budget below 2 x 128 MiB per task, Ray Data's
+    pre-sample output estimate at the default block-size target admits one
+    map->write task and holds the rest until it ends. The write's own
+    target lets all four one-block tasks start together, and the global
+    DataContext keeps its value. The branch reads its files on the driver, so the map->write
+    operator is the only one Ray budgets: a ReadParquet operator would
+    hold CPU reservations of its own while its outputs are pending."""
+    import ray.data as rd
+    from ray.data import DataContext
+    from ray.data._internal.execution.interfaces import ExecutionResources
+
+    from spacy_crfsuite_ray.pipelines.shards import run_sharded
+
+    def slow_batch(batch):
+        """Sleeps, then stamps the batch with its own start and end."""
+        import time
+
+        start = time.time()
+        time.sleep(1.5)
+        n = batch.num_rows
+        return batch.append_column(
+            "t_start", pa.array([start] * n)).append_column(
+            "t_end", pa.array([time.time()] * n))
+
+    files = []
+    for i in range(4):
+        files.append(str(tmp_path / f"part{i}.parquet"))
+        pq.write_table(pa.table({"doc_id": pa.array([i], pa.int64())}),
+                       files[-1])
+    ctx = DataContext.get_current()
+    limits, block_size = (ctx.execution_options.resource_limits,
+                          ctx.target_max_block_size)
+    ctx.execution_options.resource_limits = ExecutionResources.for_limits(
+        object_store_memory=256 * 1024 * 1024)
+    try:
+        out = str(tmp_path / "out")
+        res = run_sharded(
+            files, out, "v1",
+            lambda group: rd.from_arrow(
+                [pq.read_table(f) for f in group]).map_batches(
+                slow_batch, batch_format="pyarrow"))
+        assert res["shards_run"] == 1
+    finally:
+        ctx.execution_options.resource_limits = limits
+    assert DataContext.get_current().target_max_block_size == block_size
+    got = pq.read_table(os.path.join(out, "shard=00000"))
+    assert sorted(got.column("doc_id").to_pylist()) == [0, 1, 2, 3]
+    starts, ends = got.column("t_start").to_pylist(), got.column("t_end").to_pylist()
+    assert max(starts) < min(ends), (starts, ends)
 
 
 def test_cli_kg_keeps_a_ray_session_it_did_not_start(ray_session, tmp_path):
