@@ -86,8 +86,9 @@ def mapping_from_surfaces(
     """(type, norm, cnt) rows → {(type, norm): canonical}. The single-node
     reference implementation of the linker; the distributed version (banded
     groupby in pipelines/kg.py) reproduces it exactly. Block assignment: each
-    surface joins all its band-key blocks; per-block resolutions merge
-    first-wins over sorted block keys; canonical chains flatten one step."""
+    surface joins all its band-key blocks; per-block resolutions merge by
+    keeping the lexicographically smallest canonical a surface gets from any
+    of its blocks; canonical chains flatten one step."""
     by_type: Dict[str, Counter] = {}
     for type_, norm, cnt in surfaces:
         by_type.setdefault(type_, Counter())[norm] += cnt

@@ -123,3 +123,117 @@ def test_simhash_hamming():
     b = hashing.simhash64("the quick brown foxes".split())
     c = hashing.simhash64("entirely unrelated content here".split())
     assert hamming64(a, b) < hamming64(a, c)
+
+
+def _reference_union(batch):
+    """The union table row by row from Python dicts: the tagged rows, then
+    ``extract_relations`` per sentence, then the surface counts."""
+    import pyarrow as pa
+
+    from spacy_crfsuite_ray.stages.link import entity_surface_counts_batch
+    from spacy_crfsuite_ray.stages.relations import DERIVED_SCHEMA
+
+    rows = batch.to_pylist()
+    out = [{"kind": "e", **r} for r in rows]
+    for r in rows:
+        out += [{**t, "kind": "t"} for t in
+                extract_relations(r["sent"], r["entities"], url=r["url"])]
+    out += [{"kind": "s", **s}
+            for s in entity_surface_counts_batch(batch).to_pylist()]
+    return pa.Table.from_pylist(out, schema=DERIVED_SCHEMA)
+
+
+def test_derive_union_matches_per_row_reference():
+    """``derive_union_batch`` derives triples from Arrow arrays; it must
+    give exactly the per-sentence reference on crafted edge cases, whole,
+    multi-chunk and sliced."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from spacy_crfsuite_ray.stages.relations import derive_union_batch
+    from spacy_crfsuite_ray.stages.tag import ENTITY_TYPE
+
+    def span(text, value, type_, conf=0.9, at=0):
+        start = text.index(value, at)
+        return {"start": start, "end": start + len(value), "value": value,
+                "entity": type_, "confidence": conf}
+
+    sents = []
+
+    def add(text, *ents):
+        sents.append((text, [span(text, *e) for e in ents]))
+
+    # listed out of order; "was founded by" must win over "founded"
+    add("Acme Corp was founded by Alice Smith in Paris.",
+        ("Paris", "LOC"), ("Alice Smith", "PER", 0.7), ("Acme Corp", "ORG"))
+    # equal (start, end): the stable order keeps the later-listed ORG next
+    # to Berlin, so the triple's subject type is ORG
+    add("Bob visited Berlin.", ("Bob", "PER", 0.8), ("Berlin", "LOC", 0.7),
+        ("Bob", "ORG", 0.6))
+    add("No entities here.")
+    # nested and partial overlaps: their empty gaps give no triple
+    add("Globex Corporation acquired Initech.",
+        ("Globex Corporation", "ORG"), ("Corporation", "ORG", 0.5),
+        ("Initech", "ORG"))
+    add("Umbrella Health Group moved to Chicago.", ("Umbrella Health", "ORG"),
+        ("Health Group", "ORG", 0.95), ("Chicago", "LOC", 0.96))
+    for width in (60, 61):  # the gap limit is inclusive
+        gap = " works at".ljust(width)
+        add("Carol" + gap + "Hooli.", ("Carol", "PER"), ("Hooli", "ORG"))
+    # code-point offsets: non-ASCII before and inside the gap
+    add("🎉 Grüße: Zoë Müller — visited — Köln café, then Zoë married Ana.",
+        ("Zoë Müller", "PER"), ("Köln", "LOC", 0.4), ("Zoë", "PER", 0.9, 30),
+        ("Ana", "PER"))
+    add("Dave is the capital of nothing.", ("Dave", "PER"))
+    # pairs never cross rows: Frank's sentence holds " married" up to
+    # Grace's offset in the next one
+    add("Frank married.", ("Frank", "PER"))
+    add("Meanwhile, so Grace left.", ("Grace", "PER"))
+    # equal starts order by end; the earlier pattern in the list wins over
+    # the one found first in the gap
+    add("Hooli Labs visited and then acquired Pied Piper.",
+        ("Hooli Labs", "ORG"), ("Hooli", "ORG", 0.3), ("Pied Piper", "ORG"))
+    add("Erin, the CEO of Soylent, partnered with Wonka.",
+        ("Wonka", "ORG"), ("Soylent", "ORG"), ("Erin", "PER"))
+
+    def table(part, lo):
+        return pa.table({
+            "url": [f"u{lo + i // 2}" for i in range(len(part))],
+            "sent_idx": pa.array(range(lo, lo + len(part)), pa.int32()),
+            "base": pa.array([0] * len(part), pa.int32()),
+            "sent": [s for s, _ in part],
+            "entities": pa.array([e for _, e in part], pa.list_(ENTITY_TYPE)),
+        })
+
+    batch = pa.concat_tables([table(sents[:4], 0), table(sents[4:], 4)])
+    assert batch.column("entities").num_chunks == 2
+
+    def check(b):
+        got, want = derive_union_batch(b), _reference_union(b)
+        assert got.schema == want.schema
+        assert got.equals(want)
+        return got
+
+    union = check(batch)
+    triples = union.filter(pc.equal(union.column("kind"), "t"))
+    assert [(t["subj"], t["pred"], t["obj"], t["subj_type"], t["confidence"])
+            for t in triples.to_pylist()] == [
+        ("Acme Corp", "founded_by", "Alice Smith", "ORG", 0.7),
+        ("Bob", "visited", "Berlin", "ORG", 0.6),
+        ("Corporation", "acquired", "Initech", "ORG", 0.5),
+        ("Health Group", "moved_to", "Chicago", "ORG", 0.95),
+        ("Carol", "works_at", "Hooli", "PER", 0.9),
+        ("Zoë Müller", "visited", "Köln", "PER", 0.4),
+        ("Zoë", "married", "Ana", "PER", 0.9),
+        ("Hooli Labs", "acquired", "Pied Piper", "ORG", 0.9),
+        ("Erin", "ceo_of", "Soylent", "PER", 0.9),
+        ("Soylent", "partnered_with", "Wonka", "ORG", 0.9),
+    ]
+    # long enough that an unstable sort would reorder the equal spans
+    check(pa.concat_tables([batch] * 40))
+    for lo in range(batch.num_rows):
+        for n in (1, 3, 5):
+            check(batch.slice(lo, n))
+
+    bare = check(table([(s, []) for s, _ in sents], 0))
+    assert set(bare.column("kind").to_pylist()) == {"e"}
