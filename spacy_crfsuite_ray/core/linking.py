@@ -1,9 +1,10 @@
 """Entity linking / canonicalization primitives.
 
-Blocking + within-block resolution, designed so the distributed version is a
-single ``groupby(block_key).map_groups(resolve_block)`` shuffle (SURVEY.md
-§2.7): mentions that could corefer share at least one block key (minhash band
-over char shingles), and resolution inside a block is pure and deterministic.
+Blocking + within-block resolution (SURVEY.md §2.7): mentions that could
+corefer share at least one block key (minhash band over char shingles), and
+resolution inside a block is pure and deterministic, so the distributed
+version sorts band rows by block key and calls ``resolve_block`` on each
+multi-surface block of each sorted block (``stages/link.py:resolve_blocks``).
 """
 
 from __future__ import annotations
@@ -84,11 +85,13 @@ def mapping_from_surfaces(
     surfaces: Iterable[Tuple[str, str, int]]
 ) -> Dict[Tuple[str, str], str]:
     """(type, norm, cnt) rows → {(type, norm): canonical}. The single-node
-    reference implementation of the linker; the distributed version (banded
-    groupby in pipelines/kg.py) reproduces it exactly. Block assignment: each
-    surface joins all its band-key blocks; per-block resolutions merge by
-    keeping the lexicographically smallest canonical a surface gets from any
-    of its blocks; canonical chains flatten one step."""
+    reference implementation of the linker; the distributed version
+    (``pipelines/kg.py:build_canonical_mapping_ds``) reproduces it exactly.
+    Block assignment: each surface joins all its band-key blocks; per-block
+    resolutions merge by keeping the lexicographically smallest canonical a
+    surface gets from any of its blocks; canonical chains flatten one step,
+    each surface looking its canonical up in the merged (unflattened)
+    mapping, so the result does not depend on block order."""
     by_type: Dict[str, Counter] = {}
     for type_, norm, cnt in surfaces:
         by_type.setdefault(type_, Counter())[norm] += cnt
@@ -105,8 +108,7 @@ def mapping_from_surfaces(
                 prev = mapping.get(surface)
                 if prev is None or canonical < prev:
                     mapping[surface] = canonical
-        for surface, canonical in list(mapping.items()):
-            mapping[surface] = mapping.get(canonical, canonical)
+        mapping = {s: mapping.get(c, c) for s, c in mapping.items()}
         for norm in counter:
             out[(type_, norm)] = mapping.get(norm, norm)
     return out

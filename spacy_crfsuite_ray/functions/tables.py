@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Iterator, List
 
+import numpy as np
 import pyarrow as pa
 
 
@@ -29,6 +30,47 @@ def map_unique(col, fn: Callable[[str], str]) -> pa.Array:
     # to_numpy builds the Python strings ~10x faster than to_pylist
     uniq = enc.dictionary.to_numpy(zero_copy_only=False).tolist()
     return pc.take(pa.array([fn(v) for v in uniq], pa.string()), enc.indices)
+
+
+def multi_row_runs(tbl: pa.Table, keys: List[str]) -> Iterator[np.ndarray]:
+    """Row indices of each run of two or more rows of ``tbl`` that share
+    all ``keys`` values, runs in key order, rows in input order."""
+    import pyarrow.compute as pc
+
+    if tbl.num_rows < 2:
+        return
+    order = pc.sort_indices(tbl, [(k, "ascending") for k in keys]).to_numpy()
+    change = np.zeros(tbl.num_rows - 1, dtype=bool)
+    for k in keys:
+        col = tbl.column(k).take(order)
+        change |= pc.not_equal(col[1:], col[:-1]).to_numpy()
+    bounds = np.concatenate([[0], np.flatnonzero(change) + 1, [tbl.num_rows]])
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        if e - s >= 2:
+            yield order[s:e]
+
+
+def map_key_blocks(ds, keys: List[str], fn: Callable[[pa.Table], pa.Table]):
+    """``fn`` on each whole block of ``ds`` sorted by ``keys``. The sort's
+    reduce emits one block per range partition, so a block holds all rows
+    of each key it holds: the rule Ray Data's own ``map_groups`` relies on
+    under the default sort shuffle (``repartition(keys=...)`` raises under
+    it). The distributed twin of a kernel over ``multi_row_runs``."""
+    return ds.sort(keys).map_batches(fn, batch_format="pyarrow",
+                                     batch_size=None)
+
+
+def drop_empty_blocks(ds):
+    """``ds`` materialized without its empty blocks. A hash join sends an
+    input's schema to all partitions with the first block it shuffles, but
+    not if that block is empty (as a groupby's keyless partitions are), and
+    a partition with rows on one side only then fails (Ray Data 2.49)."""
+    import ray.data as rd
+
+    ds = ds.materialize()
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+    return rd.from_arrow_refs(refs) if refs else ds
 
 
 def read_parquet_nometa(paths, *, columns=None, **kw):

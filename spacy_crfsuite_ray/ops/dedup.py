@@ -1,15 +1,17 @@
 """Deduplication family over ``documents`` / ``embeddings``:
 
 - exact (hash-partition + per-group first)
-- MinHash + LSH banding (shingle → signature → band groupby → verify)
+- MinHash + LSH banding (shingle → signature → band sort → verify)
 - SimHash (64-bit, banded hamming candidates)
 - n-gram Jaccard verification (exact, on LSH candidates)
 - embedding-cosine near-dup
 
 Scale design: every candidate-generation step is a groupby on a BOUNDED key
 (hash / band / bucket) fed by per-batch map work; no all-pairs pass ever runs
-over raw rows. Pair verification happens inside the band group (map_groups),
-and pairs are deduplicated by a final groupby on the (a, b) key.
+over raw rows. Candidate pairs come from one kernel per table of band rows:
+the driver twin calls it on the collected table, the distributed twin on
+each block of the band rows sorted by band, and pairs are deduplicated by a
+final groupby on the (a, b) key.
 """
 
 from __future__ import annotations
@@ -23,7 +25,11 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
-from ..functions.tables import read_parquet_nometa
+from ..functions.tables import (
+    map_key_blocks,
+    multi_row_runs,
+    read_parquet_nometa,
+)
 
 from ..functions.hashing import (
     _shingle_hashes,
@@ -201,9 +207,10 @@ def _verify_pairs_joined(candidates: "rd.Dataset", sh_ds: "rd.Dataset",
 
 
 
-# Below this many band rows the candidate generation runs on the driver with
-# numpy group slicing (band tables are tiny relative to the corpus); above
-# it, the distributed groupby(band).map_groups path runs.
+# Below this many band rows the candidate generation runs on the driver: one
+# pairs kernel over the collected band table (band tables are tiny relative
+# to the corpus). Above it the same kernel runs on each block of the band
+# rows sorted by band (``functions/tables.py:map_key_blocks``).
 PAIRGEN_DRIVER_MAX_ROWS = 5_000_000
 
 _POPCNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
@@ -212,36 +219,17 @@ _POPCNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
 from ..functions.tables import collect_table as _collect_table
 
 
-def _band_group_slices(band_col: np.ndarray):
-    """Yield index slices of equal-band runs over a sorted band array."""
-    order = np.argsort(band_col, kind="stable")
-    sorted_bands = band_col[order]
-    boundaries = np.nonzero(sorted_bands[1:] != sorted_bands[:-1])[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(sorted_bands)]])
-    for s, e in zip(starts, ends):
-        if e - s >= 2:
-            yield order[s:e]
-
-
-def _minhash_pairs_driver(tbl: pa.Table) -> pa.Table:
-    bands = np.asarray(tbl.column("band").to_pandas())
-    ids = np.asarray(tbl.column("doc_id").to_pylist(), dtype=np.int64)
-    out_a, out_b = [], []
-    for idx in _band_group_slices(bands):
+def _minhash_pairs(tbl: pa.Table) -> pa.Table:
+    """(band, doc_id) rows -> unique (a, b) pairs, a < b, of distinct doc
+    ids that share a band."""
+    out = [np.zeros((0, 2), np.int64)]
+    ids = np.asarray(tbl.column("doc_id"), np.int64) if tbl.num_rows else None
+    for idx in multi_row_runs(tbl, ["band"]):
         gids = np.unique(ids[idx])
-        if len(gids) < 2:
-            continue
         ai, bi = np.triu_indices(len(gids), k=1)
-        out_a.append(gids[ai])
-        out_b.append(gids[bi])
-    if not out_a:
-        return pa.table({"a": pa.array([], pa.int64()),
-                         "b": pa.array([], pa.int64())})
-    a = np.concatenate(out_a)
-    b = np.concatenate(out_b)
-    uniq = np.unique(np.stack([a, b], axis=1), axis=0)
-    return pa.table({"a": pa.array(uniq[:, 0]), "b": pa.array(uniq[:, 1])})
+        out.append(np.stack([gids[ai], gids[bi]], axis=1))
+    ab = np.unique(np.concatenate(out), axis=0)
+    return pa.table({"a": pa.array(ab[:, 0]), "b": pa.array(ab[:, 1])})
 
 
 def _hamming_matrix(h_rows: np.ndarray, h_cols: np.ndarray) -> np.ndarray:
@@ -250,47 +238,30 @@ def _hamming_matrix(h_rows: np.ndarray, h_cols: np.ndarray) -> np.ndarray:
     return _POPCNT[x.view(np.uint8).reshape(x.shape[0], x.shape[1], 8)].sum(2)
 
 
-def _simhash_pairs_driver(tbl: pa.Table, max_hamming: int) -> pa.Table:
-    bands = np.asarray(tbl.column("band").to_pandas())
-    ids = np.asarray(tbl.column("doc_id").to_pylist(), dtype=np.int64)
-    hashes = np.asarray(tbl.column("simhash").to_pylist(),
-                        dtype=np.int64).view(np.uint64)
-    out = []
-    for idx in _band_group_slices(bands):
+def _simhash_pairs(tbl: pa.Table, max_hamming: int) -> pa.Table:
+    """(band, doc_id, simhash) rows -> unique (a, b, hamming) pairs, a < b,
+    of distinct doc ids that share a band and lie within ``max_hamming``."""
+    out = [np.zeros((0, 3), np.int64)]
+    if tbl.num_rows:
+        ids = np.asarray(tbl.column("doc_id"), np.int64)
+        hashes = np.asarray(tbl.column("simhash"), np.int64).view(np.uint64)
+    for idx in multi_row_runs(tbl, ["band"]):
         gids, first = np.unique(ids[idx], return_index=True)
-        if len(gids) < 2:
-            continue
         ghs = hashes[idx][first]
         # row-chunked to bound the pairwise matrix
         for s in range(0, len(gids), 1024):
-            rows = slice(s, min(s + 1024, len(gids)))
-            ham = _hamming_matrix(ghs[rows], ghs)
+            ham = _hamming_matrix(ghs[s:s + 1024], ghs)
             ai, bi = np.nonzero(ham <= max_hamming)
-            ai_g = ai + s
-            keep = ai_g < bi  # upper triangle only
-            if keep.any():
-                out.append(np.stack(
-                    [gids[ai_g[keep]], gids[bi[keep]],
-                     ham[ai[keep], bi[keep]].astype(np.int64)], axis=1))
-    if not out:
-        return pa.table({"a": pa.array([], pa.int64()),
-                         "b": pa.array([], pa.int64()),
-                         "hamming": pa.array([], pa.int64())})
+            keep = ai + s < bi  # upper triangle only
+            out.append(np.stack([gids[ai[keep] + s], gids[bi[keep]],
+                                 ham[ai[keep], bi[keep]].astype(np.int64)],
+                                axis=1))
     cat = np.concatenate(out)
     # dedupe pairs surfaced by multiple bands (same hamming each time)
     _, first = np.unique(cat[:, :2], axis=0, return_index=True)
     cat = cat[np.sort(first)]
     return pa.table({"a": pa.array(cat[:, 0]), "b": pa.array(cat[:, 1]),
                      "hamming": pa.array(cat[:, 2])})
-
-
-def _band_pairs(group: pd.DataFrame) -> pd.DataFrame:
-    """Candidate pairs within one band bucket (sorted, a < b)."""
-    ids = sorted(set(group["doc_id"]))
-    if len(ids) < 2:
-        return pd.DataFrame({"a": [], "b": []}).astype({"a": "int64", "b": "int64"})
-    a, b = zip(*[(x, y) for i, x in enumerate(ids) for y in ids[i + 1:]])
-    return pd.DataFrame({"a": list(a), "b": list(b)})
 
 
 def _dedupe_pairs_ds(ds):
@@ -375,12 +346,10 @@ def minhash_dedup_pairs(
 
     band_ds = sh_ds.map_batches(band_rows, batch_format="pyarrow").materialize()
     if band_ds.count() <= PAIRGEN_DRIVER_MAX_ROWS:
-        candidates = rd.from_arrow(_minhash_pairs_driver(_collect_table(band_ds)))
+        candidates = rd.from_arrow(_minhash_pairs(_collect_table(band_ds)))
     else:
         candidates = _dedupe_pairs_ds(
-            band_ds.groupby("band").map_groups(_band_pairs,
-                                               batch_format="pandas")
-        )
+            map_key_blocks(band_ds, ["band"], _minhash_pairs))
 
     n_docs = sh_ds.count()
     if n_docs <= VERIFY_BROADCAST_MAX_DOCS:
@@ -503,7 +472,7 @@ def simhash_dedup_pairs(
     """SimHash near-dup: pigeonhole banding into ``max_hamming + 1`` blocks
     (candidate recall 1.0 at the configured radius by construction — see
     ``_simhash_band_layout``), exact hamming verification inside each band
-    group, pair dedup by (a, b) groupby."""
+    (``_simhash_pairs``), pair dedup by (a, b) groupby."""
 
     def band_rows(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
@@ -520,33 +489,15 @@ def simhash_dedup_pairs(
             }
         )
 
-    def pairs(group: pd.DataFrame) -> pd.DataFrame:
-        rows = sorted(set(zip(group["doc_id"], group["simhash"])))
-        if len(rows) < 2:
-            return pd.DataFrame({"a": [], "b": [], "hamming": []}).astype(
-                {"a": "int64", "b": "int64", "hamming": "int64"}
-            )
-        ids = np.array([r[0] for r in rows], dtype=np.int64)
-        hs = np.array([r[1] for r in rows], dtype=np.int64).view(np.uint64)
-        # vectorized pairwise hamming: popcount via 8-bit LUT on xor bytes
-        x = hs[:, None] ^ hs[None, :]
-        ham = np.unpackbits(
-            x.view(np.uint8).reshape(len(rows), len(rows), 8), axis=2
-        ).sum(axis=2)
-        ai, bi = np.nonzero(np.triu(ham <= max_hamming, k=1))
-        return pd.DataFrame(
-            {"a": ids[ai], "b": ids[bi],
-             "hamming": ham[ai, bi].astype(np.int64)}
-        )
-
     band_ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         band_rows, batch_format="pyarrow"
     ).materialize()
     if band_ds.count() <= PAIRGEN_DRIVER_MAX_ROWS:
         return rd.from_arrow(
-            _simhash_pairs_driver(_collect_table(band_ds), max_hamming)
+            _simhash_pairs(_collect_table(band_ds), max_hamming)
         )
-    paired = band_ds.groupby("band").map_groups(pairs, batch_format="pandas")
+    paired = map_key_blocks(band_ds, ["band"],
+                            lambda t: _simhash_pairs(t, max_hamming))
     return paired.groupby(["a", "b"]).min("hamming").map_batches(
         lambda b: b.rename_columns(["a", "b", "hamming"]),
         batch_format="pyarrow",
@@ -682,8 +633,8 @@ def embedding_dup_pairs_lsh(
 ) -> "rd.Dataset":
     """Hyperplane-LSH bucketed embedding near-dup: each vector lands in ONE
     bucket per table (map_batches), candidate pairs form only inside a
-    bucket (bounded groupby groups), cosine is verified exactly, and a final
-    (a, b) groupby dedupes pairs found by multiple tables.
+    bucket (runs of a bucket-sorted block), cosine is verified exactly, and
+    a final (a, b) groupby dedupes pairs found by multiple tables.
 
     Recall for a pair at cosine c is 1-(1-p^b)^T with p = 1 - arccos(c)/pi;
     at the 0.4 defaults (b from ``_emb_n_planes``, T=16) that is ≥0.95 for
@@ -699,11 +650,7 @@ def embedding_dup_pairs_lsh(
         )
 
     def bucket_rows(batch: pa.Table) -> pa.Table:
-        vids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-        vecs = _normalize_rows(
-            np.asarray(batch.column("embedding").to_pylist(),
-                       dtype=np.float64)
-        )
+        vids, vecs = _unit_vectors(batch)
         keys = _bucket_keys(vecs, tables, n_planes)
         return pa.table(
             {
@@ -716,39 +663,42 @@ def embedding_dup_pairs_lsh(
             }
         )
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        if len(group) < 2:
-            return pd.DataFrame({"a": [], "b": []}).astype(
-                {"a": "int64", "b": "int64"}
-            )
-        ids = group["vec_id"].to_numpy()
-        mat = np.stack(group["v"].to_numpy())
-        sims = mat @ mat.T
-        ai, bi = np.nonzero(np.triu(sims >= threshold, k=1))
-        a = np.minimum(ids[ai], ids[bi])
-        b = np.maximum(ids[ai], ids[bi])
-        return pd.DataFrame({"a": a.astype(np.int64), "b": b.astype(np.int64)})
+    def cosine_pairs(tbl: pa.Table) -> pa.Table:
+        """(bk, vec_id, v) rows -> (a, b) pairs, a < b, with cosine ≥
+        threshold inside one bucket (one matmul per bucket)."""
+        out = [np.zeros((0, 2), np.int64)]
+        if tbl.num_rows:
+            ids = np.asarray(tbl.column("vec_id"), np.int64)
+            vecs = np.asarray(pc.list_flatten(tbl.column("v")),
+                              np.float64).reshape(tbl.num_rows, -1)
+        for idx in multi_row_runs(tbl, ["bk"]):
+            sims = vecs[idx] @ vecs[idx].T
+            ai, bi = np.nonzero(np.triu(sims >= threshold, k=1))
+            ab = np.stack([ids[idx][ai], ids[idx][bi]], axis=1)
+            out.append(np.sort(ab, axis=1))
+        ab = np.concatenate(out)
+        return pa.table({"a": pa.array(ab[:, 0]), "b": pa.array(ab[:, 1])})
 
-    bucketed = (
-        read_parquet_nometa(path, columns=["vec_id", "embedding"])
-        .map_batches(bucket_rows, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
-    return _dedupe_pairs_ds(bucketed)
+    bucketed = read_parquet_nometa(
+        path, columns=["vec_id", "embedding"]
+    ).map_batches(bucket_rows, batch_format="pyarrow")
+    return _dedupe_pairs_ds(map_key_blocks(bucketed, ["bk"], cosine_pairs))
 
 
-def _normalize_rows(mat: np.ndarray) -> np.ndarray:
+def _unit_vectors(batch: pa.Table):
+    """A batch's vec_ids and its L2-normalized float64 embedding rows."""
+    vids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+    mat = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
     norms = np.linalg.norm(mat, axis=1)
     norms[norms == 0] = 1.0
-    return mat / norms[:, None]
+    return vids, mat / norms[:, None]
 
 
 def _embedding_lsh_pairs_joined(
     path: str, threshold: float, tables: np.ndarray, n_planes: int
 ) -> "rd.Dataset":
-    """At-scale LSH verification: buckets shuffle only (bk, vec_id); the
-    deduped candidate pairs hash-join the normalized-vector table on each
+    """At-scale LSH verification: buckets shuffle only (bucket, vec_id); the
+    candidate pairs hash-join the normalized-vector table on each
     side (vectors serialized as float64 bytes — Acero joins reject list
     columns), then exact cosine filters. Identical pairs to the in-bucket
     path by construction (same buckets, same exact verification) — asserted
@@ -756,11 +706,7 @@ def _embedding_lsh_pairs_joined(
     from ..functions.cluster import join_partitions
 
     def vec_rows(batch: pa.Table) -> pa.Table:
-        vids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-        vecs = _normalize_rows(
-            np.asarray(batch.column("embedding").to_pylist(),
-                       dtype=np.float64)
-        )
+        vids, vecs = _unit_vectors(batch)
         return pa.table(
             {
                 "vec_id": pa.array(vids, pa.int64()),
@@ -769,41 +715,29 @@ def _embedding_lsh_pairs_joined(
         )
 
     def bucket_ids(batch: pa.Table) -> pa.Table:
-        vids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-        vecs = _normalize_rows(
-            np.asarray(batch.column("embedding").to_pylist(),
-                       dtype=np.float64)
-        )
+        """(bucket, vec_id) rows, named as ``_minhash_pairs`` reads them."""
+        vids, vecs = _unit_vectors(batch)
         keys = _bucket_keys(vecs, tables, n_planes)
         return pa.table(
             {
-                "bk": pa.array(keys.reshape(-1), pa.int64()),
-                "vec_id": pa.array(np.tile(vids, len(tables)), pa.int64()),
+                "band": pa.array(keys.reshape(-1), pa.int64()),
+                "doc_id": pa.array(np.tile(vids, len(tables)), pa.int64()),
             }
         )
-
-    def bucket_id_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        ids = np.unique(group["vec_id"].to_numpy())
-        if len(ids) < 2:
-            return pd.DataFrame({"a": [], "b": []}).astype(
-                {"a": "int64", "b": "int64"}
-            )
-        ai, bi = np.triu_indices(len(ids), k=1)
-        return pd.DataFrame({"a": ids[ai], "b": ids[bi]})
 
     import pyarrow.parquet as pq
 
     src = read_parquet_nometa(path, columns=["vec_id", "embedding"])
     vec_ds = src.map_batches(vec_rows, batch_format="pyarrow").materialize()
-    # NO dedupe before the join: a pair found by k tables rides the join k
-    # times (bounded by n_tables — linear work), because a pre-join
+    # NO dedupe across sorted blocks before the join (the kernel dedupes
+    # only within one): a pair found by k tables in k blocks rides the join
+    # k times (bounded by n_tables — linear work), because a pre-join
     # (a, b)-groupby would pay Ray's per-GROUP cost on every FALSE candidate
     # (measured: ~0.5 ms/group — 300 s for 500k candidate groups at fixture
     # scale). Dedup happens after verification, when only true pairs remain.
-    cand = (
-        src.map_batches(bucket_ids, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(bucket_id_pairs, batch_format="pandas")
+    cand = map_key_blocks(
+        src.map_batches(bucket_ids, batch_format="pyarrow"), ["band"],
+        _minhash_pairs,
     )
     # row-bounded partition count: join aggregator ACTORS must never exceed
     # cluster CPUs (they hang unschedulable) nor dominate small joins

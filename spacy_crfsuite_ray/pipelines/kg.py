@@ -19,12 +19,13 @@ Phase 2 (global, cheap by construction): every input is ALREADY reduced —
   paths (``DRIVER_MERGE_MAX_ROWS``): the driver path runs in-process with no
   Ray execution (linking on the driver, then one canonicalize → triples →
   edges pass over the raw triple files); the join path keeps the mapping a
-  Dataset (minhash-band groupby over unique surfaces, then (type, norm)
-  hash-joins). Each phase-2 manifest records which path ran.
+  Dataset (one linking kernel per block of unique surfaces sorted by
+  minhash band, then (type, norm) hash-joins). Each phase-2 manifest
+  records which path ran.
 
 Scale notes: on the join path the only all-to-all exchanges are the
 (type, norm) surface groupby (over UNIQUE surfaces, pre-aggregated per batch
-in phase 1), the band-key groupby (unique surfaces × 8 bands), the
+in phase 1), the band-key sort (unique surfaces × 8 bands), the
 (type, norm) mapping hash-joins, and the node/edge dedup groupbys (over
 already-combined keys). Raw sentence/mention traffic never shuffles, and
 phase 2's volume is independent of page count except for the triples
@@ -60,13 +61,18 @@ from ..stages.link import (
     explode_band_keys,
     node_ids_col,
     normalized_col,
-    resolve_block_group,
+    resolve_blocks,
 )
 from ..stages.relations import derive_union_batch
 from ..stages.tag import tag_batch
 from ..state.model import ensure_default_model, model_digest
 from ..functions.hashing import node_id as _node_id
-from ..functions.tables import map_unique, stable_rename
+from ..functions.tables import (
+    drop_empty_blocks,
+    map_key_blocks,
+    map_unique,
+    stable_rename,
+)
 from .shards import run_sharded
 # the sharding helpers stay importable from here for the benchmark and tests
 from .shards import _shard_groups, _stable_shard_groups, _walk_parquet  # noqa: F401
@@ -174,7 +180,7 @@ def _kind_files(out_dir: str, kind: str) -> List[str]:
 # the driver path runs in-process with no Ray execution: linking and nodes
 # on the driver, canonicalization a (type, norm) lookup in the mapping one
 # triple file at a time, the edge dedup one driver group_by. Above it the
-# join path runs: nothing is collected, linking is the banded groupby,
+# join path runs: nothing is collected, linking runs on band-sorted blocks,
 # canonicalization and nodes are (type, norm) hash-joins against the mapping
 # Dataset, and edges are distributed groupbys, so no step grows with the
 # corpus on the driver or in worker heaps. The two paths' outputs are
@@ -195,23 +201,25 @@ CANONICAL_TRIPLES_SCHEMA = pa.schema(
 def build_canonical_mapping_ds(
     surf: "rd.Dataset", num_partitions: int
 ) -> "rd.Dataset":
-    """unique surfaces -> per-(type, norm) min-canonical mapping rows via the
-    banded-LSH shuffle, then the one-step chain flatten (a->b->c) as a
-    mapping SELF-JOIN on (type, canonical) = (type, norm) — no
+    """unique surfaces -> per-(type, norm) min-canonical mapping rows: the
+    band rows sorted by (type, band), ``resolve_blocks`` on each sorted
+    block, the smallest canonical per surface, then the one-step chain
+    flatten (a->b->c) as a mapping SELF-JOIN on (type, canonical) =
+    (type, norm) — no
     vocabulary-sized collect or broadcast anywhere. Returns a materialized
     (type, norm, canonical) Dataset keyed for the downstream
     canonicalization joins."""
+    bands = surf.map_batches(explode_band_keys, batch_format="pyarrow")
     m = (
-        surf.map_batches(explode_band_keys, batch_format="pyarrow")
-        .groupby(["type", "band"])
-        .map_groups(resolve_block_group, batch_format="pandas")
+        map_key_blocks(bands, ["type", "band"], resolve_blocks)
         .groupby(["type", "norm"])
-        .min("canonical")  # first-wins-over-sorted-blocks, vectorized
+        .min("canonical")  # smallest canonical over the surface's blocks
         .map_batches(
             stable_rename(["type", "norm", "canonical"]),
             batch_format="pyarrow",
         )
-    ).materialize()
+    )
+    m = drop_empty_blocks(m)
     right = m.map_batches(
         lambda b: pa.table(
             {
@@ -238,7 +246,7 @@ def build_canonical_mapping_ds(
             }
         )
 
-    return j.map_batches(flat, batch_format="pyarrow").materialize()
+    return drop_empty_blocks(j.map_batches(flat, batch_format="pyarrow"))
 
 
 def canonicalize_triples_joined(

@@ -2,21 +2,23 @@
 
 The shuffle design (SURVEY.md §2.7): mention surfaces are pre-aggregated to
 unique (type, norm) rows with counts INSIDE map_batches (combiner) before any
-groupby, so the all-to-all exchange moves unique surfaces — not raw mentions.
-Blocks are minhash band keys over char shingles (+ the surface type); the
-per-block resolution is the same pure ``resolve_block`` the sequential oracle
-uses, so Ray and oracle agree exactly. Hot blocks are bounded: a block is
-keyed by a minhash band, so its size is the number of near-duplicate surfaces,
-not the number of mentions.
+shuffle, so the all-to-all exchange moves unique surfaces — not raw mentions.
+Blocks are minhash band keys over char shingles (+ the surface type). The
+join path sorts the band rows by (type, band) and runs ``resolve_blocks`` on
+each sorted block: the same pure ``resolve_block`` the sequential oracle
+uses, called once per multi-surface block, so Ray and oracle agree exactly.
+Hot blocks are bounded: a block is keyed by a minhash band, so its size is
+the number of near-duplicate surfaces, not the number of mentions.
 
 The final surface→canonical mapping is small relative to the corpus (unique
 normalized surfaces). Phase 2 (``pipelines/kg.py:run_phase2``) takes one of
-two paths. On the driver path the mapping is built on the driver and
-canonicalization is an in-process (type, norm) lookup. On the join path
-nothing is collected: the mapping stays a Dataset built by the banded
-groupby below, the chain flatten runs as a mapping self-join, and
-canonicalization is a (type, norm)-hash join of the mapping against triples
-and surfaces (``pipelines/kg.py:build_canonical_mapping_ds`` /
+two paths. On the driver path the mapping is built on the driver
+(``core/linking.py:mapping_from_surfaces``) and canonicalization is an
+in-process (type, norm) lookup. On the join path nothing is collected: the
+mapping stays a Dataset built from the sorted band blocks, the per-surface
+min and the chain flatten (a mapping self-join), and canonicalization is a
+(type, norm)-hash join of the mapping against triples and surfaces
+(``pipelines/kg.py:build_canonical_mapping_ds`` /
 ``canonicalize_triples_joined``). Both paths normalize with
 ``normalize_surface`` and id nodes with ``functions/hashing.py:node_id``;
 their outputs are byte-equal by test (tests/test_large_paths.py).
@@ -24,12 +26,12 @@ their outputs are byte-equal by test (tests/test_large_paths.py).
 
 from __future__ import annotations
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 
 from ..core.linking import block_keys, normalize_surface, resolve_block
 from ..functions.hashing import short_sha1
-from ..functions.tables import map_unique
+from ..functions.tables import map_unique, multi_row_runs
 
 
 _SURF_SCHEMA = pa.schema(
@@ -89,17 +91,28 @@ def explode_band_keys(batch: pa.Table) -> pa.Table:
     )
 
 
-def resolve_block_group(group: pd.DataFrame) -> pd.DataFrame:
-    """map_groups fn for groupby(type, band): resolve one block."""
-    surfaces = list(zip(group["norm"], group["cnt"]))
-    mapping = resolve_block(surfaces)
-    return pd.DataFrame(
-        {
-            "type": group["type"].iloc[0],
-            "norm": list(mapping.keys()),
-            "canonical": list(mapping.values()),
-        }
-    )
+_MAPPING_SCHEMA = pa.schema(
+    [("type", pa.string()), ("norm", pa.string()), ("canonical", pa.string())]
+)
+
+
+def resolve_blocks(tbl: pa.Table) -> pa.Table:
+    """(type, band, norm, cnt) rows -> (type, norm, canonical) rows:
+    ``resolve_block`` on every (type, band) run of two or more rows. A row
+    alone in its block maps to itself: all a one-surface block does is cap
+    that surface's canonical at itself in the per-surface min merge."""
+    if tbl.num_rows == 0:
+        return _MAPPING_SCHEMA.empty_table()
+    type_, norm, cnt = (tbl.column(c).to_numpy(zero_copy_only=False)
+                        for c in ("type", "norm", "cnt"))
+    single, out = np.ones(tbl.num_rows, dtype=bool), []
+    for idx in multi_row_runs(tbl, ["type", "band"]):
+        single[idx] = False
+        out += [(type_[idx[0]], s, c) for s, c in resolve_block(
+            zip(norm[idx].tolist(), cnt[idx].tolist())).items()]
+    runs = list(zip(*out)) or [(), (), ()]
+    return pa.table([pa.array([*a[single], *b], pa.string()) for a, b in
+                     zip((type_, norm, norm), runs)], schema=_MAPPING_SCHEMA)
 
 
 def normalized_col(value_col) -> pa.Array:
