@@ -16,12 +16,15 @@ Phase 2 (global, cheap by construction): every input is ALREADY reduced —
   magnitude smaller than sentences. linking → canonical triples →
   nodes/edges with deterministic content-hash ids → partitioned parquet +
   manifests. One decision from parquet footer row counts picks one of two
-  paths (``DRIVER_MERGE_MAX_ROWS``): the driver path runs in-process with no
-  Ray execution (linking on the driver, then one canonicalize → triples →
-  edges pass over the raw triple files); the join path keeps the mapping a
-  Dataset (one linking kernel per block of unique surfaces sorted by
-  minhash band, then (type, norm) hash-joins). Each phase-2 manifest
-  records which path ran.
+  paths (``DRIVER_MERGE_MAX_ROWS``). Both link with one kernel
+  (``core/linking.py``: band rows, ``resolve_blocks``, per-surface min,
+  one-step chain flatten). The driver path runs in-process with no Ray
+  execution: the kernel on one Arrow table of the unique surfaces, that
+  table written as the mapping and joined with the surfaces for the
+  nodes, then one canonicalize → triples → edges pass over the raw triple
+  files. The join path keeps the mapping a Dataset (the kernel per block
+  of unique surfaces sorted by minhash band, then (type, norm)
+  hash-joins). Each phase-2 manifest records which path ran.
 
 Scale notes: on the join path the only all-to-all exchanges are the
 (type, norm) surface groupby (over UNIQUE surfaces, pre-aggregated per batch
@@ -48,6 +51,15 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
+from ..core.linking import (
+    CHAIN_TARGETS,
+    explode_band_keys,
+    flatten_one_step,
+    link_surfaces,
+    mapping_dict,
+    normalize_surface,
+    resolve_blocks,
+)
 from ..stages.extract import explode_sentences, extract_text_batch, filter_lang
 from ..stages.graph import (
     edge_ids_col,
@@ -57,12 +69,7 @@ from ..stages.graph import (
     read_manifests,
     write_manifest,
 )
-from ..stages.link import (
-    explode_band_keys,
-    node_ids_col,
-    normalized_col,
-    resolve_blocks,
-)
+from ..stages.link import _SURF_SCHEMA, node_ids_col, normalized_col
 from ..stages.relations import derive_union_batch
 from ..stages.tag import tag_batch
 from ..state.model import ensure_default_model, model_digest
@@ -202,10 +209,10 @@ def build_canonical_mapping_ds(
     surf: "rd.Dataset", num_partitions: int
 ) -> "rd.Dataset":
     """unique surfaces -> per-(type, norm) min-canonical mapping rows: the
-    band rows sorted by (type, band), ``resolve_blocks`` on each sorted
-    block, the smallest canonical per surface, then the one-step chain
-    flatten (a->b->c) as a mapping SELF-JOIN on (type, canonical) =
-    (type, norm) — no
+    driver path's ``core/linking.py:link_surfaces`` on Ray Data. The band
+    rows sorted by (type, band), ``resolve_blocks`` on each sorted block,
+    the smallest canonical per surface, then ``flatten_one_step`` over a
+    mapping SELF-JOIN on (type, canonical) = (type, norm) — no
     vocabulary-sized collect or broadcast anywhere. Returns a materialized
     (type, norm, canonical) Dataset keyed for the downstream
     canonicalization joins."""
@@ -220,33 +227,13 @@ def build_canonical_mapping_ds(
         )
     )
     m = drop_empty_blocks(m)
-    right = m.map_batches(
-        lambda b: pa.table(
-            {
-                "type": b.column("type"),
-                "r_norm": b.column("norm"),
-                "r_canonical": b.column("canonical"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    right = m.map_batches(stable_rename(CHAIN_TARGETS), batch_format="pyarrow")
     j = m.join(
         right, join_type="left_outer", num_partitions=num_partitions,
         on=("type", "canonical"), right_on=("type", "r_norm"),
     )
-
-    def flat(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "type": b.column("type"),
-                "norm": b.column("norm"),
-                "canonical": pc.coalesce(
-                    b.column("r_canonical"), b.column("canonical")
-                ),
-            }
-        )
-
-    return drop_empty_blocks(j.map_batches(flat, batch_format="pyarrow"))
+    return drop_empty_blocks(
+        j.map_batches(flatten_one_step, batch_format="pyarrow"))
 
 
 def canonicalize_triples_joined(
@@ -399,58 +386,62 @@ def run_phase2(out_dir: str, force: bool = False) -> Dict:
     }
 
 
+_NODE_MAPPING_COLS = ["type", "norm", "m_canonical"]
+_NODE_KEYS = ["node_id", "canonical", "type"]
+_NODE_COLS = [*_NODE_KEYS, "n_mentions"]
+
+
+def _node_rows(batch: pa.Table) -> pa.Table:
+    """Unique surfaces ⋈ mapping (renamed ``_NODE_MAPPING_COLS``) rows ->
+    (node_id, canonical, type, cnt) rows for the per-node count sum; a
+    surface missing from the mapping is its own canonical."""
+    canon = pc.coalesce(batch.column("m_canonical"), batch.column("norm"))
+    return pa.table(
+        {
+            "node_id": node_ids_col(canon, batch.column("type")),
+            "canonical": canon,
+            "type": batch.column("type"),
+            "cnt": batch.column("cnt"),
+        }
+    )
+
+
 def _phase2_driver(surf_files: List[str], triple_files: List[str],
                    t_rows: int, dirs: Dict, manifest) -> int:
-    """Phase 2 in this process, no Ray execution: linking and nodes from the
-    unique surfaces, then one pass over the raw triple files that
-    canonicalizes each file against the mapping, appends it to the triples
-    file and keeps its edge observations; the edges are one group_by over
-    those, hashed once per edge. Driver memory is one triple file, the
-    observations and one cached canonical surface and node id per unique
-    raw surface. Canonicalization maps triples 1:1, so the triples manifest
-    records ``t_rows``. Returns the number of unique surfaces."""
-    from collections import Counter
+    """Phase 2 in this process, no Ray execution: the join path's linking
+    kernel on one in-memory table of the unique surfaces
+    (``core/linking.py:link_surfaces``), written as the mapping; nodes as
+    surfaces ⋈ mapping on (type, norm), ``_node_rows`` and one group_by;
+    then one pass over the raw triple files that canonicalizes each file
+    against the mapping, appends it to the triples file and keeps its edge
+    observations; the edges are one group_by over those, hashed once per
+    edge. Driver memory is one triple file, the observations and one cached
+    canonical surface and node id per unique raw surface. Canonicalization
+    maps triples 1:1, so the triples manifest records ``t_rows``. Returns
+    the number of unique surfaces."""
     from concurrent.futures import ThreadPoolExecutor
 
-    from ..core.linking import mapping_from_surfaces, normalize_surface
-
     t0 = time.time()
-    if surf_files:
-        with ThreadPoolExecutor(8) as pool:  # pq reads release the GIL
-            surf_parts = list(pool.map(
-                lambda f: pq.read_table(f, columns=_SURF_COLS), surf_files
-            ))
-        surf_tbl = (
-            pa.concat_tables(surf_parts)
-            .group_by(["type", "norm"])
-            .aggregate([("cnt", "sum")])
-            .rename_columns(_SURF_COLS)
-        )
-    else:  # no mentions at all (e.g. lang filter)
-        surf_tbl = pa.table(
-            {"type": pa.array([], pa.string()),
-             "norm": pa.array([], pa.string()),
-             "cnt": pa.array([], pa.int64())}
-        )
-
-    def surfaces():  # to_numpy builds Python values ~10x faster than to_pylist
-        return zip(*(surf_tbl.column(c).to_numpy().tolist() for c in _SURF_COLS))
-
-    mapping = mapping_from_surfaces(surfaces())
+    with ThreadPoolExecutor(8) as pool:  # pq reads release the GIL
+        surf_parts = list(pool.map(
+            lambda f: pq.read_table(f, columns=_SURF_COLS), surf_files
+        ))
+    # no surface files at all (e.g. lang filter): the empty table links to
+    # an empty mapping and no nodes
+    surf_tbl = (
+        pa.concat_tables([_SURF_SCHEMA.empty_table(), *surf_parts])
+        .group_by(["type", "norm"])
+        .aggregate([("cnt", "sum")])
+        .rename_columns(_SURF_COLS)
+    )
+    mtbl = link_surfaces(surf_tbl).sort_by(
+        [("type", "ascending"), ("norm", "ascending")])
 
     # --- mapping artifact: the surface→canonical linking table, written as
     # partitioned parquet lineage output (unique surfaces — small relative
     # to the corpus). Downstream audits and the kg_nodes SQL oracle
     # recompute n_mentions from the tagged checkpoint through this table.
     tm = time.time()
-    items = sorted(mapping.items())
-    mtbl = pa.table(
-        {
-            "type": pa.array([k[0] for k, _ in items], pa.string()),
-            "norm": pa.array([k[1] for k, _ in items], pa.string()),
-            "canonical": pa.array([v for _, v in items], pa.string()),
-        }
-    )
     mapping_shard = os.path.join(dirs["mapping"], "shard=all")
     os.makedirs(mapping_shard, exist_ok=True)
     pq.write_table(mtbl, os.path.join(mapping_shard, "part-0.parquet"))
@@ -459,6 +450,8 @@ def _phase2_driver(surf_files: List[str], triple_files: List[str],
     # --- canonical triples, one raw triple file at a time; each unique
     # (type, value) surface resolves once per run, and with no triple files
     # the writer still leaves the schema-stable empty file
+    mapping = mapping_dict(mtbl)
+
     @functools.cache
     def canonical_of(key: str) -> str:  # "type\x1fvalue"
         type_, value = key.split("\x1f", 1)
@@ -483,19 +476,15 @@ def _phase2_driver(surf_files: List[str], triple_files: List[str],
     t1 = time.time()
     manifest("edges", _write_edges(obs, dirs["edges"]), t1)
 
-    # --- nodes: from unique surfaces + mapping (no second mention pass)
+    # --- nodes: unique surfaces ⋈ mapping (no second mention pass)
     t2 = time.time()
-    node_counts: Counter = Counter()
-    for type_, norm, cnt in surfaces():
-        canon = mapping.get((type_, norm), norm)
-        node_counts[(_node_id(canon, type_), canon, type_)] += cnt
-    nodes_tbl = pa.table(
-        {
-            "node_id": pa.array([k[0] for k in node_counts], pa.string()),
-            "canonical": pa.array([k[1] for k in node_counts], pa.string()),
-            "type": pa.array([k[2] for k in node_counts], pa.string()),
-            "n_mentions": pa.array(list(node_counts.values()), pa.int64()),
-        }
+    joined = surf_tbl.join(mtbl.rename_columns(_NODE_MAPPING_COLS),
+                           ["type", "norm"], join_type="left outer")
+    nodes_tbl = (
+        _node_rows(joined)
+        .group_by(_NODE_KEYS)
+        .aggregate([("cnt", "sum")])
+        .rename_columns(_NODE_COLS)
     )
     nodes_shard = os.path.join(dirs["nodes"], "shard=all")
     os.makedirs(nodes_shard, exist_ok=True)
@@ -549,39 +538,19 @@ def _phase2_join(surf_files: List[str], triple_files: List[str],
 
     # --- nodes: unique surfaces ⋈ mapping on (type, norm)
     t2 = time.time()
-    m_nodes = mapping_ds.map_batches(
-        lambda b: pa.table(
-            {"type": b.column("type"), "norm": b.column("norm"),
-             "m_canonical": b.column("canonical")}
-        ),
-        batch_format="pyarrow",
-    )
+    m_nodes = mapping_ds.map_batches(stable_rename(_NODE_MAPPING_COLS),
+                                     batch_format="pyarrow")
     joined = surf_ds.join(
         m_nodes, join_type="left_outer",
         num_partitions=join_partitions(rows=n_unique),
         on=("type", "norm"),
     )
-
-    def node_rows(batch: pa.Table) -> pa.Table:
-        canon = pc.coalesce(batch.column("m_canonical"), batch.column("norm"))
-        return pa.table(
-            {
-                "node_id": node_ids_col(canon, batch.column("type")),
-                "canonical": canon,
-                "type": batch.column("type"),
-                "cnt": batch.column("cnt"),
-            }
-        )
-
     nodes_shard = os.path.join(dirs["nodes"], "shard=all")
     (
-        joined.map_batches(node_rows, batch_format="pyarrow")
-        .groupby(["node_id", "canonical", "type"])
+        joined.map_batches(_node_rows, batch_format="pyarrow")
+        .groupby(_NODE_KEYS)
         .sum("cnt")
-        .map_batches(
-            stable_rename(["node_id", "canonical", "type", "n_mentions"]),
-            batch_format="pyarrow",
-        )
+        .map_batches(stable_rename(_NODE_COLS), batch_format="pyarrow")
     ).write_parquet(nodes_shard)
     manifest("nodes", _written_rows(nodes_shard), t2)
     return n_unique

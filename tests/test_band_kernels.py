@@ -5,16 +5,24 @@ Each kernel (``resolve_blocks``, ``_minhash_pairs``, ``_simhash_pairs``)
 runs on the collected table in its driver twin and on every sorted block in
 its distributed twin, so the twin-equality tests compare the kernel with
 itself. These tests check each kernel against an independent per-key
-reference instead."""
+reference instead. Both phase-2 linkers and the sequential oracle run the
+same kernel, so ``_reference_mapping`` here is the driver linker's only
+independent reference."""
 
 import itertools
 import random
-from collections import defaultdict
+import string
+from collections import Counter, defaultdict
 
 import pyarrow as pa
 import pytest
 
-from spacy_crfsuite_ray.core.linking import mapping_from_surfaces, resolve_block
+from spacy_crfsuite_ray.core import linking
+from spacy_crfsuite_ray.core.linking import (
+    block_keys,
+    mapping_from_surfaces,
+    resolve_block,
+)
 from spacy_crfsuite_ray.ops.dedup import _minhash_pairs, _simhash_pairs
 from spacy_crfsuite_ray.stages.link import explode_band_keys, resolve_blocks
 
@@ -183,3 +191,72 @@ def test_one_surface_blocks_still_cap(ray_session):
     driver, join = _both_paths([("ORG", "zeta corpo", 1), ("ORG", "zeta corp", 100)])
     assert driver == join == {("ORG", "zeta corpo"): "zeta corp",
                               ("ORG", "zeta corp"): "zeta corp"}
+
+
+def _reference_mapping(surfaces):
+    """The driver linker in plain Python: counts summed per (type, norm),
+    every surface in each of its ``block_keys`` blocks, per-block
+    ``resolve_block`` and the min, then each canonical looked up once in
+    the merged mapping."""
+    counts = Counter()
+    for t, n, c in surfaces:
+        counts[(t, n)] += c
+    merged = _reference_resolve((t, key, n, c) for (t, n), c in counts.items()
+                                for key in block_keys(n))
+    return {(t, n): merged.get((t, c), c) for (t, n), c in merged.items()}
+
+
+def _seeded_surfaces(n, seed=17):
+    """n ORG/PER surfaces: random two-word names, every third with an
+    " inc" variant of the same type."""
+    rng, out = random.Random(seed), {}
+    word = lambda: "".join(rng.choices(string.ascii_lowercase,
+                                       k=rng.randint(4, 9)))
+    for i in itertools.count():
+        if len(out) >= n:
+            break
+        t, name = rng.choice(["ORG", "PER"]), f"{word()} {word()}"
+        out[(t, name)] = rng.randint(1, 100)
+        if i % 3 == 0:
+            out[(t, name + " inc")] = rng.randint(1, 100)
+    return [(t, name, c) for (t, name), c in out.items()]
+
+
+_DRIVER_CASES = {
+    "types_share_names": [("ORG", "acme corp", 5), ("PER", "acme corp", 1),
+                          ("ORG", "acme corpo", 2), ("PER", "acme corpo", 9),
+                          ("LOC", "acme corp", 3), ("LOC", "zeta", 1)],
+    "empty_norm": [("ORG", "", 3), ("ORG", "a", 1), ("ORG", "acme", 2),
+                   ("PER", "", 1)],
+    # summed, "acme corp" (2 + 3) outweighs "acme corpo" (4)
+    "repeated_rows": [("ORG", "acme corp", 2), ("ORG", "acme corpo", 4),
+                      ("ORG", "acme corp", 3)],
+    "empty": [],
+    "seeded_2000": _seeded_surfaces(2000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DRIVER_CASES))
+def test_driver_linker_matches_reference(case):
+    surfaces = _DRIVER_CASES[case]
+    assert mapping_from_surfaces(surfaces) == _reference_mapping(surfaces)
+
+
+def test_driver_linker_resolves_only_multi_surface_blocks(monkeypatch):
+    """A one-surface block only caps its surface at itself, so the linker
+    hands ``resolve_block`` (called through ``core.linking`` by both paths'
+    kernel) no block with fewer than two surfaces."""
+    sizes = []
+
+    def counted(surfaces):
+        surfaces = list(surfaces)
+        sizes.append(len({s for s, _ in surfaces}))
+        return resolve_block(surfaces)
+
+    monkeypatch.setattr(linking, "resolve_block", counted)
+    names = ["acme corp", "acme corpo", "acme corporation", "zeta ltd",
+             "zeta limited", "globex", "globex inc", "initech"]
+    surfaces = [("ORG", n, i + 1) for i, n in enumerate(names)]
+    surfaces += [("PER", n, 2) for n in names[:3]]
+    assert mapping_from_surfaces(surfaces) == _reference_mapping(surfaces)
+    assert sizes and min(sizes) >= 2
