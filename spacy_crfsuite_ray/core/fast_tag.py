@@ -10,8 +10,9 @@ throughput:
   matched-id count per offset (cleared on a miss once it holds
   ``TOKEN_CACHE_MAX`` entries). No feature-id list outlives the miss that
   built it;
-- state scores for a whole batch: one copy of the batch's cached rows, one
-  shifted, sentence-edge-masked add per window offset, and the BOS/EOS rows
+- state scores for a whole batch: the cached rows of the batch's distinct
+  token texts, gathered through each token's text number in one shifted,
+  sentence-edge-masked add per window offset, and the BOS/EOS rows
   added once wherever any offset falls outside the sentence;
 - marginals from ``crf.padded_marginals``, the forward-backward kernel that
   training also runs, over length-sorted sub-batches of ``SUB_BATCH``
@@ -101,9 +102,15 @@ class FastTagger:
         """(n_tok, L) state scores of sentences given back to back as token
         texts with lengths ``lens``: the same sums the generic encoder's
         feature ids give, added per window offset."""
+        # number the call's distinct texts once: the rows copied are one per
+        # distinct text, not one per token (a whole block has ~66 tokens
+        # per distinct text)
+        uid_of: Dict[str, int] = {}
+        uid = np.fromiter((uid_of.setdefault(t, len(uid_of)) for t in tokens),
+                          dtype=np.intp, count=len(tokens))
         get = self._cache.get
-        entries = [get(t) or self._token_scores(t) for t in tokens]
-        rows = np.array([r for r, _ in entries])  # (n_tok, n_offsets, L)
+        entries = [get(t) or self._token_scores(t) for t in uid_of]
+        table = np.array([r for r, _ in entries])  # (n_distinct, n_offsets, L)
         n_tok = len(tokens)
         pos = np.arange(n_tok) - np.repeat(np.cumsum(lens) - lens, lens)
         room = np.repeat(lens, lens) - pos  # tokens from here to the end
@@ -113,9 +120,10 @@ class FastTagger:
         S = np.zeros((n_tok, self.L))
         for k, off in enumerate(self.offsets):
             idx = np.flatnonzero((pos >= -off) & (room > off))
-            S[idx] += rows[idx + off, k]
+            src = uid[idx + off]
+            S[idx] += table[src, k]
             if counts is not None:
-                n_ids += int(counts[idx + off, k].sum())
+                n_ids += int(counts[src, k].sum())
         # the generic path sets the single dict key "BOS" no matter how many
         # window offsets fall before the sentence: add its row exactly once
         # (same for "EOS" after it)

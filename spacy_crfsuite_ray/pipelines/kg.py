@@ -84,17 +84,43 @@ from .shards import run_sharded
 # the sharding helpers stay importable from here for the benchmark and tests
 from .shards import _shard_groups, _stable_shard_groups, _walk_parquet  # noqa: F401
 
-TAG_BATCH_SIZE = 128  # sentences per tag_batch call (after the explode)
 # Read/task granularity: one block, and so one fused phase-1 task, per
 # PAGES_PER_BLOCK pages (at least one per file). Each task writes one file per
 # kind, and every downstream read pays driver-side planning PER FILE — so
 # blocks are large, not maximal fan-out: 8,000 pages make 4 blocks, one task
-# per CPU at 4 CPUs.
+# per CPU at 4 CPUs. The tag stage takes each block whole, so a tag call sees
+# at most about PAGES_PER_BLOCK pages of sentences. Ray Data fuses the read
+# into the map->write task only when each file is one block: a file of more
+# than PAGES_PER_BLOCK pages makes more blocks than files, and Ray then plans
+# ReadParquet->SplitBlocks plus a separate, unfused map operator. The page
+# writer's own files hold PAGES_PER_BLOCK pages each.
 PAGES_PER_BLOCK = 2000
 
 # On-disk layout tag recorded in every phase-1 manifest; bumping it invalidates
 # manifests written by older layouts so resume can never silently mix them.
 LAYOUT_VERSION = "kind-partitioned-v2"
+
+
+def phase1_branch(group: List[str], model_path: str,
+                  lang: str = "en") -> "rd.Dataset":
+    """One shard's phase-1 Dataset: its page files read as blocks of about
+    ``PAGES_PER_BLOCK`` pages, then extract -> lang filter -> sentence
+    explode -> tag -> derive, each stage called once per block. No stage
+    asks for a batch size, so Ray Data fuses the read and every stage into
+    one task per block."""
+    total_rows = sum(pq.read_metadata(f).num_rows for f in group)
+    ds = rd.read_parquet(
+        group, columns=["url", "html", "lang"],
+        override_num_blocks=max(len(group), total_rows // PAGES_PER_BLOCK),
+    )
+    ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
+    ds = ds.map_batches(lambda b: filter_lang(b, lang), batch_format="pyarrow")
+    ds = ds.map_batches(explode_sentences, batch_format="pyarrow")
+    # task-based tagging: each warm task worker loads the model once
+    # (state/model.py load_extractor cache) — no actor spawn
+    ds = ds.map_batches(tag_batch, batch_format="pyarrow",
+                        fn_kwargs={"model_path": model_path})
+    return ds.map_batches(derive_union_batch, batch_format="pyarrow")
 
 
 def run_phase1(
@@ -118,32 +144,12 @@ def run_phase1(
     model_path = model_path or ensure_default_model()
     tagged_dir = os.path.join(out_dir, "tagged")
 
-    def branch(group: List[str]) -> "rd.Dataset":
-        total_rows = sum(pq.read_metadata(f).num_rows for f in group)
-        ds = rd.read_parquet(
-            group, columns=["url", "html", "lang"],
-            override_num_blocks=max(len(group), total_rows // PAGES_PER_BLOCK),
-        )
-        ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
-        ds = ds.map_batches(
-            lambda b: filter_lang(b, lang), batch_format="pyarrow"
-        )
-        ds = ds.map_batches(explode_sentences, batch_format="pyarrow")
-        # task-based tagging: each warm task worker loads the model once
-        # (state/model.py load_extractor cache) — no actor spawn
-        ds = ds.map_batches(
-            tag_batch,
-            batch_format="pyarrow",
-            batch_size=TAG_BATCH_SIZE,
-            fn_kwargs={"model_path": model_path},
-        )
-        return ds.map_batches(derive_union_batch, batch_format="pyarrow")
-
     # hive-partition by (shard, kind): consumers prune whole files
     # (entities vs triples vs surface counts) per shard instead of
     # row-filtering mixed files. The tags depend on the language filter and
     # the model as much as on the pages: both are in the manifest key, so
     # changing either re-runs the shard.
+    branch = functools.partial(phase1_branch, model_path=model_path, lang=lang)
     stats = run_sharded(page_files, tagged_dir, LAYOUT_VERSION, branch,
                         partition_cols=("shard", "kind"), shards=shards,
                         files_per_shard=files_per_shard,

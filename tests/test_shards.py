@@ -2,7 +2,8 @@
 and export pipelines drive it: phase-2 staleness after a shard-set change,
 phase-1 re-runs when the language or the model changes, rejection of bad
 sharding values, the export's empty-shard output, task admission of the
-sharded write, and the CLI's Ray session ownership."""
+sharded write, phase 1's read fused into its map operator, and the CLI's Ray
+session ownership."""
 
 import os
 
@@ -226,6 +227,30 @@ def test_sharded_write_starts_every_task_at_once(ray_session, tmp_path):
     assert sorted(got.column("doc_id").to_pylist()) == [0, 1, 2, 3]
     starts, ends = got.column("t_start").to_pylist(), got.column("t_end").to_pylist()
     assert max(starts) < min(ends), (starts, ends)
+
+
+def test_phase1_plans_one_fused_read_to_derive_operator(ray_session, tmp_path):
+    """Page files of at most PAGES_PER_BLOCK pages each: Ray Data plans the
+    phase-1 branch as ONE operator from ReadParquet through
+    derive_union_batch, so a block's read runs inside its map task. A stage
+    asking for a batch size (min rows per bundled input) would leave
+    ReadParquet as an operator of its own."""
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    from spacy_crfsuite_ray.pipelines.kg import PAGES_PER_BLOCK, phase1_branch
+    from spacy_crfsuite_ray.state.model import ensure_default_model
+
+    pages_dir, _ = generate_pages(60, str(tmp_path / "p"), rows_per_file=20)
+    files = page_files(pages_dir)
+    assert all(pq.read_metadata(f).num_rows <= PAGES_PER_BLOCK for f in files)
+    ds = phase1_branch(files, model_path=ensure_default_model())
+    ops, op = [], get_execution_plan(ds._logical_plan).dag
+    while op.input_dependencies:
+        ops.append(op.name)
+        op = op.input_dependencies[0]
+    assert len(ops) == 1, ops
+    assert ops[0].startswith("ReadParquet->MapBatches(extract_text_batch)"), ops
+    assert ops[0].endswith("MapBatches(derive_union_batch)"), ops
 
 
 def test_cli_kg_keeps_a_ray_session_it_did_not_start(ray_session, tmp_path):
